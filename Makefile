@@ -18,7 +18,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # campaigns (e.g. make fuzz-smoke FUZZTIME=5m).
 FUZZTIME ?= 10s
 
-.PHONY: all build test lint vet fmt-check fmt bench bench-e2e bench-wal staticcheck opdaemonlint vuln fuzz-smoke
+.PHONY: all build test lint vet fmt-check fmt bench bench-e2e bench-wal bench-check staticcheck opdaemonlint vuln fuzz-smoke loc
 
 all: build lint fmt-check test
 
@@ -71,6 +71,19 @@ bench-e2e:
 # -benchmem is always on here. See docs/performance.md.
 bench-wal:
 	$(GO) test -bench 'WAL' -benchmem -benchtime=$(BENCHTIME) -cpu=$(BENCHCPU) -run '^$$' ./internal/engine/
+
+# perfbench is a separate module that embeds the daemon packages, so
+# `go build ./...` and `go test ./...` at the root never compile it: a
+# daemon change that breaks the benchmark's build passes both. This
+# target vets and tests it from its own module.
+bench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Non-blank, non-comment Go lines under cmd/ and internal/, excluding
+# tests and testdata: the code-size figure tracked beside ops/s.
+loc:
+	@find cmd internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' \
+		| xargs cat | grep -cvE '^[[:space:]]*(//|$$)'
 
 # Short coverage-guided fuzz runs over the untrusted-input parsers:
 # the cursor values clients control, and the WAL replay path that

@@ -127,9 +127,8 @@ var jsonCodecNames = map[string]bool{
 var codecFuncNames = map[string]bool{
 	// engine frame builders and record encoders.
 	"appendWALFrame": true, "reserveWALFrame": true, "finishWALFrame": true,
-	"encodeOpRecord": true, "encodeOpRecordV2": true, "encodeDeltaRecordV2": true,
-	"encodeDeleteRecord": true, "appendDeleteRecord": true,
-	"decodeWALRecord": true,
+	"encodeOpRecordV2": true, "encodeDeltaRecordV2": true,
+	"appendDeleteRecord": true, "decodeWALRecord": true,
 	// core.Operation binary codec.
 	"AppendBinary": true, "AppendBinaryDelta": true,
 	"DecodeBinaryOperation": true, "DecodeBinaryDelta": true,

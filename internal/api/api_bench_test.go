@@ -48,7 +48,7 @@ func benchStores() []struct {
 		name string
 		mk   func() engine.Store
 	}{
-		{"mem", engine.NewMemStore},
+		{"sharded-1", func() engine.Store { return engine.NewShardedStore(1) }},
 		{fmt.Sprintf("sharded-%d", engine.DefaultShardCount()), func() engine.Store { return engine.NewShardedStore(0) }},
 	}
 }

@@ -128,28 +128,21 @@ type Engine struct {
 	opTTL           time.Duration
 	gcInterval      time.Duration
 	// sched holds accepted-but-undispatched operations in priority
-	// bands of per-client DRR queues; tokens counts them, one token
-	// per scheduled item, so workers block on the channel and never
-	// poll the scheduler. Closing tokens (Shutdown) drains the
-	// remaining buffered tokens through the workers, emptying sched.
-	sched  *schedQueue
-	tokens chan struct{}
+	// bands of per-client DRR queues, and is the one admission ledger:
+	// capacity, shed threshold, reserved slots and the closed flag all
+	// live under its lock. Workers wait on it; Shutdown closes it.
+	sched *schedQueue
 	// meter tracks the observed drain rate; RetryAfter divides queue
 	// depth by it to tell shed clients when to come back.
-	meter drainMeter
-	// shedAt is the queue depth at which admission control starts
-	// refusing submissions with core.ErrSaturated; shedAt >= queue
-	// capacity disables shedding.
-	shedAt      int
-	slots       chan struct{}
+	meter       drainMeter
 	drained     chan struct{}
 	janitorStop chan struct{}
 	wg          sync.WaitGroup
 	runCtx      context.Context
 	runStop     context.CancelFunc
-	mu          sync.RWMutex
-	handlers    map[string]registration
-	closed      bool
+	// mu guards handlers and nothing else.
+	mu       sync.RWMutex
+	handlers map[string]registration
 
 	// cancels is the sharded registry of in-flight operations' cancel
 	// functions. It has its own locks so Cancel never contends with
@@ -205,15 +198,6 @@ func New(cfg Config) *Engine {
 	case cfg.PromoteAfter < 0:
 		cfg.PromoteAfter = 0 // aging disabled
 	}
-	// Shedding starts at ceil(threshold * capacity) queued operations;
-	// outside (0, 1) only the hard ErrQueueFull bound applies.
-	shedAt := cfg.QueueDepth + 1
-	if cfg.ShedThreshold > 0 && cfg.ShedThreshold < 1 {
-		shedAt = int(math.Ceil(cfg.ShedThreshold * float64(cfg.QueueDepth)))
-		if shedAt < 1 {
-			shedAt = 1
-		}
-	}
 	// The engine's run context is the process-lifetime root that every
 	// handler context derives from; it is cancelled by Shutdown, not by
 	// any caller, so a detached root is the correct shape here.
@@ -226,10 +210,7 @@ func New(cfg Config) *Engine {
 		defaultDeadline: cfg.DefaultDeadline,
 		opTTL:           cfg.OpTTL,
 		gcInterval:      cfg.GCInterval,
-		sched:           newSchedQueue(cfg.QueuePolicy, cfg.BandWeights, cfg.DRRQuantum, cfg.PromoteAfter),
-		tokens:          make(chan struct{}, cfg.QueueDepth),
-		shedAt:          shedAt,
-		slots:           make(chan struct{}, cfg.QueueDepth),
+		sched:           newSchedQueue(cfg),
 		drained:         make(chan struct{}),
 		janitorStop:     make(chan struct{}),
 		runCtx:          ctx,
@@ -341,18 +322,18 @@ type durableStore interface {
 // dequeue.
 func (e *Engine) Stats() Stats {
 	bands, clients := e.sched.depths()
-	depth := len(e.slots)
+	depth := e.sched.depth()
 	st := Stats{
 		Workers:       e.workers,
 		QueueDepth:    depth,
-		QueueCapacity: cap(e.slots),
+		QueueCapacity: e.sched.capacity,
 		StoreLen:      e.store.Len(),
 		WatchWaiters:  e.watch.waiters(),
 		LastNotice:    e.notices.last(),
 		QueueBands:    bands,
 		QueueClients:  clients,
-		Shedding:      depth >= e.shedAt,
-		ShedAt:        e.shedAt,
+		Shedding:      depth >= e.sched.shedAt,
+		ShedAt:        e.sched.shedAt,
 		DrainPerSec:   e.meter.rate(e.clock()),
 	}
 	if ds, ok := e.store.(durableStore); ok {
@@ -378,7 +359,7 @@ func (e *Engine) RetryAfter() time.Duration {
 	if rate <= 0 {
 		return retryCeiling
 	}
-	d := time.Duration(math.Ceil(float64(len(e.slots))/rate)) * time.Second
+	d := time.Duration(math.Ceil(float64(e.sched.depth())/rate)) * time.Second
 	if d < time.Second {
 		return time.Second
 	}
@@ -467,13 +448,13 @@ func (e *Engine) SubmitBatch(ctx context.Context, items []BatchItem, opts ...Sub
 	if len(items) == 0 {
 		return nil, &core.InvalidError{Field: "batch", Reason: "must contain at least one item"}
 	}
-	if len(items) > cap(e.slots) {
+	if len(items) > e.sched.capacity {
 		// Such a batch can never be accepted, so reject it as a
 		// client error rather than ErrQueueFull, whose "retry later"
 		// semantics would have the client retry forever.
 		return nil, &core.InvalidError{
 			Field:  "batch",
-			Reason: fmt.Sprintf("size %d exceeds queue capacity %d", len(items), cap(e.slots)),
+			Reason: fmt.Sprintf("size %d exceeds queue capacity %d", len(items), e.sched.capacity),
 		}
 	}
 	var sub submitOptions
@@ -560,65 +541,26 @@ func (e *Engine) SubmitBatch(ctx context.Context, items []BatchItem, opts ...Sub
 		}
 	}
 
-	// Reserve queue slots before storing, so a queue-full rejection
-	// is never visible through Get/List (a submission racing
-	// Shutdown can still be stored transiently before the second
-	// closed-check deletes it), and store outside the lock so a
-	// (possibly slow, pluggable) PutBatch doesn't serialize
-	// submitters. Workers release slots when they dequeue, which
-	// guarantees the reserved sends below cannot block; the lock
-	// keeps closed-checks atomic with Shutdown closing the queue.
-	// Reservation is all-or-nothing: on a full queue the tokens taken
-	// so far are drained back, which cannot block because every other
-	// token in the channel is backed by a scheduled operation a worker
-	// has not yet dequeued. Admission control runs first and accounts
-	// for the batch size, so shedAt is a hard depth bound: a batch
-	// that would push depth past the shed threshold is refused whole
-	// with ErrSaturated, the typed signal the API turns into 429 +
-	// Retry-After. (For a single operation this is the familiar
-	// "refuse once depth reached shedAt".)
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil, core.ErrShuttingDown
+	// Admission is reserve → store → add, counted in the scheduler's one
+	// ledger. reserve runs admission control first: a batch that would
+	// push depth past the shed threshold is refused whole with
+	// ErrSaturated (the typed signal the API turns into 429 +
+	// Retry-After), one past capacity with ErrQueueFull, and either
+	// refusal comes before anything is visible through Get/List. The
+	// reserved slots let PutBatch run outside every lock, so a (possibly
+	// slow, pluggable) store doesn't serialize submitters. add then
+	// queues the whole batch, unless Shutdown closed the queue in
+	// between — then the transiently stored ops are deleted again.
+	if err := e.sched.reserve(len(ops)); err != nil {
+		return nil, err
 	}
-	if len(e.slots)+len(ops) > e.shedAt {
-		e.mu.Unlock()
-		return nil, core.ErrSaturated
-	}
-	reserved := 0
-	for range ops {
-		select {
-		case e.slots <- struct{}{}:
-			reserved++
-		default:
-			for ; reserved > 0; reserved-- {
-				<-e.slots
-			}
-			e.mu.Unlock()
-			return nil, core.ErrQueueFull
-		}
-	}
-	e.mu.Unlock()
-
 	e.store.PutBatch(ops)
-
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		for range ops {
-			<-e.slots
-		}
+	if !e.sched.add(ops, now) {
 		for _, op := range ops {
 			e.store.Delete(op.ID)
 		}
 		return nil, core.ErrShuttingDown
 	}
-	for _, op := range ops {
-		e.sched.add(op.ID, sub.client, bandIndex(op.Priority), now)
-		e.tokens <- struct{}{}
-	}
-	e.mu.Unlock()
 	// Record the birth transitions in the feed so a notices watcher
 	// sees new operations appear, not just settle. No hub notify: a
 	// client cannot hold a waiter for an ID it has not been handed yet,
@@ -713,17 +655,13 @@ func (e *Engine) Cancel(id string) (*core.Operation, error) {
 // may still be running, so the caller decides whether to wait longer
 // or exit. Concurrent and repeated calls all observe the same drain.
 func (e *Engine) Shutdown(ctx context.Context) error {
-	e.mu.Lock()
-	if !e.closed {
-		e.closed = true
-		close(e.tokens)
+	if e.sched.close() {
 		close(e.janitorStop)
 		go func() {
 			e.wg.Wait()
 			close(e.drained)
 		}()
 	}
-	e.mu.Unlock()
 
 	select {
 	case <-e.drained:
@@ -779,30 +717,21 @@ func (e *Engine) Recover(ctx context.Context) (requeued, interrupted int, err er
 				interrupted++
 			}
 		case core.StatusQueued:
-			e.mu.Lock()
-			if e.closed {
-				e.mu.Unlock()
-				return requeued, interrupted, core.ErrShuttingDown
-			}
-			select {
-			case e.slots <- struct{}{}:
-				// Slot reserved, so the token send cannot block — the
-				// same invariant SubmitBatch relies on.
-				e.sched.add(op.ID, op.Client, bandIndex(op.Priority), e.clock())
-				e.tokens <- struct{}{}
-				e.mu.Unlock()
-				requeued++
-				// Re-announce the queued operation in the (empty after
-				// restart) notices feed, mirroring SubmitBatch's birth
-				// notice.
-				e.notices.append(op.ID, op.Kind, core.StatusQueued, op.CreatedAt)
-			default:
-				e.mu.Unlock()
+			switch err := e.sched.requeue(op, e.clock()); {
+			case errors.Is(err, core.ErrShuttingDown):
+				return requeued, interrupted, err
+			case err != nil:
 				// More recovered work than queue capacity; failing the
 				// overflow honestly beats dropping it silently.
 				if e.transition(op.ID, core.StatusFailed, nil, core.ErrInterrupted) {
 					interrupted++
 				}
+			default:
+				requeued++
+				// Re-announce the queued operation in the (empty after
+				// restart) notices feed, mirroring SubmitBatch's birth
+				// notice.
+				e.notices.append(op.ID, op.Kind, core.StatusQueued, op.CreatedAt)
 			}
 		}
 	}
@@ -843,19 +772,16 @@ func (e *Engine) GC() int {
 
 func (e *Engine) worker() {
 	defer e.wg.Done()
-	// Each token in the channel is backed by exactly one scheduled
-	// operation, so every successful receive corresponds to one
-	// successful take; which operation is decided here, at dispatch
-	// time, by the scheduler's priority/fairness policy rather than by
-	// arrival order.
-	for range e.tokens {
-		<-e.slots
+	// wait returns once work is queued (or, after Shutdown, once the
+	// queue has drained, ending the loop); which operation runs is
+	// decided by take, at dispatch time, by the scheduler's
+	// priority/fairness policy rather than by arrival order. The clock
+	// is sampled between the two, outside the scheduler lock. take
+	// reports false when another worker won the last item first.
+	for e.sched.wait() {
 		now := e.clock()
 		id, ok := e.sched.take(now)
 		if !ok {
-			// Unreachable by construction; release the slot rather
-			// than leak it if the invariant is ever broken.
-			e.slots <- struct{}{}
 			continue
 		}
 		e.meter.record(now)

@@ -466,6 +466,94 @@ func TestSubmitBatchAfterShutdown(t *testing.T) {
 	}
 }
 
+// slowPutStore widens the window between a batch's slot reservation
+// and its enqueue, where a racing Shutdown must make the batch refuse
+// and unstore itself.
+type slowPutStore struct{ Store }
+
+func (s slowPutStore) PutBatch(ops []*core.Operation) {
+	s.Store.PutBatch(ops)
+	time.Sleep(50 * time.Microsecond)
+}
+
+// TestShutdownRacesSubmitBatch: batches submitted while Shutdown runs
+// are either accepted whole, and every op then reaches a terminal state
+// in the drain, or refused whole with ErrShuttingDown, leaving none of
+// their ops visible. The admission ledger ends empty.
+func TestShutdownRacesSubmitBatch(t *testing.T) {
+	e := New(Config{Workers: 2, QueueDepth: 4096, Store: slowPutStore{NewShardedStore(4)}})
+	e.Register("ok", func(context.Context, *core.Operation) (any, error) { return nil, nil })
+
+	const submitters, size = 8, 4
+	var (
+		wg, started sync.WaitGroup
+		mu          sync.Mutex
+		accepted    = make(map[string]bool)
+		refused     int
+	)
+	started.Add(submitters)
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := 0; ; b++ {
+				items := make([]BatchItem, size)
+				for i := range items {
+					items[i] = BatchItem{Kind: "ok"}
+				}
+				ops, err := e.SubmitBatch(context.Background(), items)
+				if b == 0 {
+					started.Done()
+				}
+				mu.Lock()
+				switch {
+				case err == nil:
+					for _, op := range ops {
+						accepted[op.ID] = true
+					}
+				case errors.Is(err, core.ErrShuttingDown):
+					refused++
+				default:
+					t.Errorf("SubmitBatch racing Shutdown = %v, want accepted or ErrShuttingDown", err)
+				}
+				mu.Unlock()
+				if err != nil {
+					return
+				}
+			}
+		}()
+	}
+	// Every submitter has had a batch answered, so Shutdown lands in
+	// the middle of the stream.
+	started.Wait()
+	if err := e.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	wg.Wait()
+
+	if refused != submitters {
+		t.Errorf("%d submitters saw ErrShuttingDown, want all %d", refused, submitters)
+	}
+	for id := range accepted {
+		op, err := e.Get(id)
+		if err != nil || !op.Status.Terminal() {
+			t.Fatalf("accepted op %s after drain = (%v, %v), want terminal", id, op, err)
+		}
+	}
+	listed := listEngine(t, e, ListQuery{})
+	for _, op := range listed {
+		if !accepted[op.ID] {
+			t.Errorf("op %s of a refused batch is visible in List", op.ID)
+		}
+	}
+	if len(listed) != len(accepted) {
+		t.Errorf("List holds %d ops, want the %d accepted", len(listed), len(accepted))
+	}
+	if d := e.Stats().QueueDepth; d != 0 {
+		t.Errorf("Stats().QueueDepth after drain = %d, want 0", d)
+	}
+}
+
 func TestCancelQueuedNeverRuns(t *testing.T) {
 	e := New(Config{Workers: 1, QueueDepth: 8})
 	defer e.Shutdown(context.Background())

@@ -23,15 +23,23 @@ package engine
 //     agedEvery takes so a flood of aged low-priority work cannot
 //     invert the bands.
 //
+// The queue is also the engine's one admission ledger. Its capacity,
+// shed threshold, the slots reserved by submissions still storing
+// their batch, and the closed flag all live under schedQueue.mu, so a
+// submission's admission check, a worker's dispatch and Shutdown's
+// close serialise on that one lock and one count (n + reserved).
+//
 // Concurrency contract: schedQueue.mu guards a few map/slice
 // operations and nothing else. Its name places its critical sections
 // under the lockscope analyzer — no channel operations, callbacks,
-// Store calls, or re-entrant shard locking while it is held. Time is
-// sampled by callers and passed in, because the engine's clock is a
-// function value the analyzer (rightly) refuses to see invoked under
-// the lock.
+// Store calls, or re-entrant shard locking while it is held. The one
+// blocking call, the condition wait in wait, releases mu while it
+// sleeps. Time is sampled by callers and passed in, because the
+// engine's clock is a function value the analyzer (rightly) refuses to
+// see invoked under the lock.
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -189,12 +197,17 @@ func (b *schedBand) takeHead(it *schedItem) *schedItem {
 	return popped
 }
 
-// schedQueue is the engine's dispatch queue: priority bands over
-// per-client DRR queues, guarded by one short-critical-section mutex.
-// Its type name places those critical sections under the lockscope
-// analyzer's no-blocking-under-lock contract.
+// schedQueue is the engine's dispatch queue and admission ledger:
+// priority bands over per-client DRR queues, plus the capacity and
+// shed bounds every admission is counted against, all guarded by one
+// short-critical-section mutex. Its type name places those critical
+// sections under the lockscope analyzer's no-blocking-under-lock
+// contract.
 type schedQueue struct {
-	mu    sync.Mutex
+	mu sync.Mutex
+	// wake is signalled once per queued operation and broadcast by
+	// close; idle workers wait on it. Its L is &mu.
+	wake  sync.Cond
 	bands [numBands]schedBand
 	// quantum is the DRR credit granted per client turn (operations).
 	quantum int
@@ -209,50 +222,162 @@ type schedQueue struct {
 	// sinceAged counts takes since the last aged dispatch, for the
 	// 1-in-agedEvery cap.
 	sinceAged int
-	n         int
+	// n counts queued, undispatched operations; reserved counts slots
+	// held by submissions between reserve and add. Their sum is the
+	// queue depth that capacity and shedAt bound.
+	n        int
+	reserved int
+	// capacity is the hard depth bound (Config.QueueDepth); shedAt is
+	// the depth at which admission control starts refusing with
+	// core.ErrSaturated, and shedAt > capacity disables shedding. Both
+	// are fixed at construction.
+	capacity int
+	shedAt   int
+	// closed refuses every later admission; workers drain what is
+	// queued and then stop.
+	closed bool
 }
 
-// newSchedQueue builds a scheduler; inputs are assumed normalized by
-// engine.New (policy a known constant, quantum >= 1, weights >= 1).
-func newSchedQueue(policy string, weights [numBands]int, quantum int, promoteAfter time.Duration) *schedQueue {
+// newSchedQueue builds a scheduler from a config normalized by
+// engine.New (policy a known constant, quantum >= 1, weights >= 1,
+// PromoteAfter zero when aging is disabled, QueueDepth >= 1).
+func newSchedQueue(cfg Config) *schedQueue {
+	// Shedding starts at ceil(threshold * capacity) queued operations;
+	// outside (0, 1) only the hard ErrQueueFull bound applies.
+	shedAt := cfg.QueueDepth + 1
+	if cfg.ShedThreshold > 0 && cfg.ShedThreshold < 1 {
+		shedAt = max(1, int(math.Ceil(cfg.ShedThreshold*float64(cfg.QueueDepth))))
+	}
 	s := &schedQueue{
-		quantum:  quantum,
-		weighted: policy == PolicyWeighted,
-		weights:  weights,
+		quantum:  cfg.DRRQuantum,
+		weighted: cfg.QueuePolicy == PolicyWeighted,
+		weights:  cfg.BandWeights,
 		// Credits start full so the very first take serves the highest
 		// band rather than skipping it while the rotation warms up.
-		credits:      weights,
-		promoteAfter: promoteAfter,
+		credits:      cfg.BandWeights,
+		promoteAfter: cfg.PromoteAfter,
+		capacity:     cfg.QueueDepth,
+		shedAt:       shedAt,
 	}
+	s.wake.L = &s.mu
 	for i := range s.bands {
 		s.bands[i].clients = make(map[string]*clientQueue)
 	}
 	return s
 }
 
-// add enqueues an accepted operation under its client's queue in the
-// given band. now is sampled by the caller (the engine clock is a
-// function value, not callable under the lock).
-func (s *schedQueue) add(id, client string, band int, now time.Time) {
-	it := &schedItem{id: id, client: client, enqueued: now}
+// reserve holds k queue slots for a batch about to be stored, so the
+// store write can run outside the lock without the queue overfilling
+// behind it. It refuses with core.ErrShuttingDown once the queue is
+// closed, core.ErrSaturated when the batch would push depth past the
+// shed threshold, and core.ErrQueueFull when it would exceed capacity.
+// Every successful reserve must be followed by add with the same k.
+func (s *schedQueue) reserve(k int) error {
 	s.mu.Lock()
-	b := &s.bands[band]
-	cq := b.clients[client]
+	defer s.mu.Unlock()
+	depth := s.n + s.reserved
+	switch {
+	case s.closed:
+		return core.ErrShuttingDown
+	case depth+k > s.shedAt:
+		return core.ErrSaturated
+	case depth+k > s.capacity:
+		return core.ErrQueueFull
+	}
+	s.reserved += k
+	return nil
+}
+
+// add turns the slots reserve holds for ops into queued operations,
+// all or none: if close ran since the reservation it queues nothing
+// and reports false. Either way the reservation is released. now is
+// sampled by the caller (the engine clock is a function value, not
+// callable under the lock).
+func (s *schedQueue) add(ops []*core.Operation, now time.Time) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.reserved -= len(ops)
+	if s.closed {
+		return false
+	}
+	for _, op := range ops {
+		s.push(op, now)
+	}
+	return true
+}
+
+// requeue queues one recovered operation. Unlike a submission it is
+// bounded by capacity alone, not by the shed threshold: recovered work
+// was already admitted once, so shedding it would only fail it. It
+// refuses with core.ErrShuttingDown once closed and core.ErrQueueFull
+// at capacity.
+func (s *schedQueue) requeue(op *core.Operation, now time.Time) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case s.closed:
+		return core.ErrShuttingDown
+	case s.n+s.reserved >= s.capacity:
+		return core.ErrQueueFull
+	}
+	s.push(op, now)
+	return nil
+}
+
+// push enqueues op under its client's queue in its priority band and
+// wakes one waiting worker. Callers hold s.mu.
+func (s *schedQueue) push(op *core.Operation, now time.Time) {
+	it := &schedItem{id: op.ID, client: op.Client, enqueued: now}
+	b := &s.bands[bandIndex(op.Priority)]
+	cq := b.clients[op.Client]
 	if cq == nil {
-		cq = &clientQueue{key: client}
-		b.clients[client] = cq
+		cq = &clientQueue{key: op.Client}
+		b.clients[op.Client] = cq
 		b.active = append(b.active, cq)
 	}
 	cq.push(it)
 	b.arrival = append(b.arrival, it)
 	b.n++
 	s.n++
-	s.mu.Unlock()
+	s.wake.Signal()
+}
+
+// wait blocks until an operation is queued or the queue is closed. It
+// reports false once the queue is closed and drained, which is a
+// worker's signal to exit; true means take may find work (another
+// worker can still win it first).
+func (s *schedQueue) wait() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.n == 0 && !s.closed {
+		s.wake.Wait()
+	}
+	return s.n > 0
+}
+
+// close refuses every later admission and wakes every waiting worker
+// so the queue drains. It reports whether this call closed the queue.
+func (s *schedQueue) close() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	s.closed = true
+	s.wake.Broadcast()
+	return true
+}
+
+// depth is the queue depth admission is bounded by: queued operations
+// plus slots reserved by submissions still storing their batch.
+func (s *schedQueue) depth() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.n + s.reserved
 }
 
 // take dispatches the next operation, or reports false on an empty
-// queue. The engine's token channel guarantees one successful take per
-// token, so false indicates a bookkeeping bug, not a race.
+// queue — another worker took the last item since this one's wait.
 func (s *schedQueue) take(now time.Time) (string, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -357,6 +357,18 @@ func TestShedReturnsErrSaturated(t *testing.T) {
 	}
 }
 
+// schedPush queues one operation through the admission ledger the way
+// SubmitBatch does: reserve a slot, then add.
+func schedPush(t *testing.T, s *schedQueue, id string, p core.Priority, now time.Time) {
+	t.Helper()
+	if err := s.reserve(1); err != nil {
+		t.Fatalf("reserve(%s): %v", id, err)
+	}
+	if !s.add([]*core.Operation{{ID: id, Client: "c", Priority: p}}, now) {
+		t.Fatalf("add(%s) refused by an open queue", id)
+	}
+}
+
 // TestSchedArrivalStaysCompacted guards against the dispatch-path
 // leak: arrival was only compacted by head(), which the aging valve
 // calls solely for bands *below* the first non-empty one — so the
@@ -367,9 +379,9 @@ func TestSchedArrivalStaysCompacted(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	for _, policy := range []string{PolicyStrict, PolicyWeighted} {
 		// promoteAfter 0 disables aging — the worst case for the leak.
-		s := newSchedQueue(policy, [3]int{8, 4, 1}, 1, 0)
+		s := newSchedQueue(Config{QueuePolicy: policy, BandWeights: [3]int{8, 4, 1}, DRRQuantum: 1, QueueDepth: 8})
 		for i := 0; i < 1000; i++ {
-			s.add("op", "client", 1, now)
+			schedPush(t, s, "op", core.PriorityNormal, now)
 			if _, ok := s.take(now); !ok {
 				t.Fatalf("[%s] take on non-empty queue reported empty", policy)
 			}
@@ -388,9 +400,9 @@ func TestSchedArrivalStaysCompacted(t *testing.T) {
 // and served lower-priority work ahead of queued high-priority work.
 func TestWeightedFirstTakeServesHigh(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
-	s := newSchedQueue(PolicyWeighted, [3]int{2, 1, 1}, 1, 0)
-	s.add("n", "c", bandIndex(core.PriorityNormal), now)
-	s.add("h", "c", bandIndex(core.PriorityHigh), now)
+	s := newSchedQueue(Config{QueuePolicy: PolicyWeighted, BandWeights: [3]int{2, 1, 1}, DRRQuantum: 1, QueueDepth: 8})
+	schedPush(t, s, "n", core.PriorityNormal, now)
+	schedPush(t, s, "h", core.PriorityHigh, now)
 	if id, ok := s.take(now); !ok || id != "h" {
 		t.Errorf("first weighted take = %q (ok=%v), want the high-band op", id, ok)
 	}

@@ -83,71 +83,8 @@ type Store interface {
 	Len() int
 }
 
-// memStore is the single-lock in-memory Store: one storeShard without
-// the hashing. It is the simplest correct implementation, kept as the
-// conformance reference and the benchmark baseline that shardedStore
-// must beat under contention.
-type memStore struct {
-	shard storeShard
-}
-
-// NewMemStore returns an empty in-memory store.
+// NewMemStore returns an empty single-shard in-memory store, one lock
+// for everything: NewShardedStore(1) under its older name.
 func NewMemStore() Store {
-	return &memStore{shard: storeShard{ops: make(map[string]*core.Operation)}}
-}
-
-func (s *memStore) Put(op *core.Operation) {
-	s.shard.put(op)
-}
-
-func (s *memStore) PutBatch(ops []*core.Operation) {
-	s.shard.mu.Lock()
-	for _, op := range ops {
-		s.shard.putLocked(op)
-	}
-	s.shard.mu.Unlock()
-}
-
-func (s *memStore) Get(id string) (*core.Operation, error) {
-	return s.shard.get(id)
-}
-
-func (s *memStore) List(q ListQuery) ([]*core.Operation, error) {
-	sh := &s.shard
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	hasCursor := q.Cursor != ""
-	var key *core.Operation
-	if hasCursor {
-		var ok bool
-		if key, ok = sh.ops[q.Cursor]; !ok {
-			return []*core.Operation{}, nil
-		}
-	}
-	cursors := []listCursor{{ops: sh.ix.ops, pos: startPosFor(sh, key)}}
-	return collectNewest(cursors, q), nil
-}
-
-// startPosFor adapts storeShard.startPos to an optional cursor key.
-func startPosFor(sh *storeShard, key *core.Operation) int {
-	if key == nil {
-		return sh.startPos(false, time.Time{}, "")
-	}
-	return sh.startPos(true, key.CreatedAt, key.ID)
-}
-
-func (s *memStore) Update(id string, fn func(op *core.Operation)) error {
-	return s.shard.update(id, fn)
-}
-
-func (s *memStore) Delete(id string) {
-	s.shard.delete(id)
-}
-
-func (s *memStore) SweepTerminalBefore(cutoff time.Time) int {
-	return s.shard.sweepTerminalBefore(cutoff)
-}
-
-func (s *memStore) Len() int {
-	return s.shard.len()
+	return NewShardedStore(1)
 }

@@ -22,7 +22,7 @@ func allocImpls() []struct {
 		name string
 		mk   func() Store
 	}{
-		{"mem", NewMemStore},
+		{"mem", NewMemStore}, // one shard: no merge
 		{"sharded-8", func() Store { return NewShardedStore(8) }},
 	}
 }

@@ -1,7 +1,7 @@
 package engine
 
-// Benchmarks comparing the single-lock memStore against the sharded
-// store. The serial variants establish that sharding costs nothing
+// Benchmarks comparing the single-shard (one lock) store against the
+// sharded store. The serial variants establish that sharding costs nothing
 // when there is no contention; the parallel variants are the ones the
 // sharded store exists to win. Run via `make bench` or:
 //
@@ -34,7 +34,7 @@ func benchImpls() []struct {
 		name string
 		mk   func() Store
 	}{
-		{"mem", NewMemStore},
+		{"sharded-1", func() Store { return NewShardedStore(1) }},
 		{fmt.Sprintf("sharded-%d", DefaultShardCount()), func() Store { return NewShardedStore(0) }},
 	}
 }
@@ -93,7 +93,7 @@ func BenchmarkStoreGetPut(b *testing.B) {
 // BenchmarkStoreGetPutParallel hammers Put+Get from GOMAXPROCS
 // goroutines over a shared key set — the contention profile of many
 // API clients submitting and polling at once. This is the benchmark
-// the sharded store must win against memStore.
+// the sharded store must win against the single-shard store.
 func BenchmarkStoreGetPutParallel(b *testing.B) {
 	for _, impl := range benchImpls() {
 		b.Run(impl.name, func(b *testing.B) {

@@ -1,8 +1,8 @@
 package engine
 
 // Conformance suite for the Store interface. Every implementation —
-// the single-lock memStore and the sharded store at several shard
-// counts — must pass the identical contract: copy-on-write
+// the sharded store at several shard counts, and the WAL store over
+// it — must pass the identical contract: copy-on-write
 // immutability of published snapshots, atomic Update under contention,
 // newest-first List ordering with a stable ID tie-break, and cursor
 // pagination that tolerates TTL eviction.
@@ -49,6 +49,8 @@ func storeImpls(t testing.TB) []struct {
 		name string
 		mk   func(t testing.TB) Store
 	}{
+		// NewMemStore is NewShardedStore(1); the row pins the exported
+		// constructor.
 		{"mem", func(testing.TB) Store { return NewMemStore() }},
 		{"sharded-1", func(testing.TB) Store { return NewShardedStore(1) }},
 		{"sharded-8", func(testing.TB) Store { return NewShardedStore(8) }},

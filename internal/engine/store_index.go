@@ -82,7 +82,7 @@ func (ix *opIndex) remove(createdAt time.Time, id string) {
 
 // storeShard is one partition of the ID space: a mutex-guarded map for
 // point lookups plus the opIndex that keeps the partition ordered. The
-// memStore is a single shard; the sharded store is many.
+// sharded store is one or more of them.
 //
 // Copy-on-write invariant: every *core.Operation reachable from ops or
 // the index is immutable. update clones, mutates the clone, and

@@ -26,9 +26,9 @@ func DefaultShardCount() int {
 // separately locked map plus an ordered index. Operations are assigned
 // to shards by a maphash of their ID (per-process random seed), so
 // goroutines touching different operations almost always contend on
-// different locks. It implements the same copy-on-write and ordering
-// semantics as memStore; the conformance suite in
-// store_conformance_test.go holds both to the same contract.
+// different locks. It is the engine's one in-memory Store (the WAL
+// store wraps it too); the conformance suite in
+// store_conformance_test.go holds it to the interface contract.
 type shardedStore struct {
 	shards []*storeShard
 	// mask is len(shards)-1; with a power-of-two shard count,
@@ -45,7 +45,7 @@ const maxShardCount = 1 << 16
 // hash-selected shards. n is rounded up to the next power of two so
 // shard selection is a bit mask; n <= 0 selects DefaultShardCount()
 // and n > 65536 is clamped there. A single-shard store (n == 1) is
-// semantically identical to NewMemStore and useful as a baseline in
+// what NewMemStore returns, and the single-lock baseline in
 // benchmarks.
 func NewShardedStore(n int) Store {
 	n = normalizeShardCount(n)
@@ -235,6 +235,14 @@ func (s *shardedStore) List(q ListQuery) ([]*core.Operation, error) {
 		cursors[i] = listCursor{ops: snap, pos: pos}
 	}
 	return collectNewest(cursors, q), nil
+}
+
+// startPosFor adapts storeShard.startPos to an optional cursor key.
+func startPosFor(sh *storeShard, key *core.Operation) int {
+	if key == nil {
+		return sh.startPos(false, time.Time{}, "")
+	}
+	return sh.startPos(true, key.CreatedAt, key.ID)
 }
 
 func (s *shardedStore) Update(id string, fn func(op *core.Operation)) error {

@@ -402,6 +402,44 @@ func TestEngineRecoverOverflow(t *testing.T) {
 	}
 }
 
+// TestEngineRecoverIgnoresShedThreshold: Recover is bounded by queue
+// capacity, not by the shed threshold. Recovered work was admitted
+// once already; shedding it would only fail it. With the single worker
+// parked on the first op, depth reaches 3, past shedAt 2.
+func TestEngineRecoverIgnoresShedThreshold(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	store := NewShardedStore(4)
+	const n = 4
+	for i := 0; i < n; i++ {
+		op := mkOp(fmt.Sprintf("q-%d", i), t0.Add(time.Duration(i)*time.Second))
+		op.Kind = "block"
+		store.Put(op)
+	}
+
+	e := New(Config{Workers: 1, QueueDepth: n, ShedThreshold: 0.5, Store: store})
+	release := make(chan struct{})
+	e.Register("block", func(ctx context.Context, _ *core.Operation) (any, error) {
+		select {
+		case <-release:
+			return nil, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	})
+
+	requeued, interrupted, err := e.Recover(context.Background())
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if requeued != n || interrupted != 0 {
+		t.Errorf("Recover = (%d requeued, %d interrupted), want (%d, 0)", requeued, interrupted, n)
+	}
+	close(release)
+	if err := e.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+}
+
 // FuzzWALReplay fuzzes the codec's central promise: replay never
 // panics, the reported valid prefix is within bounds, and replaying
 // that prefix alone is clean and converges on the identical state.
@@ -409,13 +447,16 @@ func FuzzWALReplay(f *testing.F) {
 	t0 := time.Unix(1000, 0)
 	var valid []byte
 	for i := 0; i < 3; i++ {
-		rec, err := encodeOpRecord(walRecPut, mkOp(fmt.Sprintf("op-%d", i), t0))
-		if err != nil {
+		var err error
+		if valid, err = encodeOpRecordV2(valid, mkOp(fmt.Sprintf("op-%d", i), t0)); err != nil {
 			f.Fatal(err)
 		}
-		valid = append(valid, rec...)
 	}
-	valid = append(valid, encodeDeleteRecord("op-1")...)
+	done := mkOp("op-0", t0)
+	done.Status = core.StatusDone
+	done.UpdatedAt = t0.Add(time.Second)
+	valid = encodeDeltaRecordV2(valid, done)
+	valid = appendDeleteRecord(valid, "op-1")
 	f.Add([]byte{})
 	f.Add(valid)
 	f.Add(valid[:len(valid)-5]) // torn tail
@@ -423,6 +464,8 @@ func FuzzWALReplay(f *testing.F) {
 	flipped[11] ^= 0x80 // checksum mismatch in the first record
 	f.Add(flipped)
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}) // impossible length
+	// A CRC-valid frame of a retired v1 record type ends the prefix.
+	f.Add(appendWALFrame(append([]byte(nil), valid...), 1, []byte(`{"id":"op-9"}`)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		state := make(map[string]*core.Operation)

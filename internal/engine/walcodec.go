@@ -14,21 +14,23 @@ package engine
 // torn or bit-flipped tail detectable, which is what lets recovery
 // truncate at the first bad frame instead of guessing.
 //
-// Two codec generations share the frame format and differ only in
-// record types and body encoding:
+// The record types are those of the v2 codec:
 //
-//   - v1 (types 1–3): put/update bodies are the operation's JSON wire
-//     encoding; delete bodies are the raw ID. Still decoded on replay
-//     so logs written by older builds recover seamlessly, but no
-//     longer written.
-//   - v2 (types 4–5): op bodies are the compact binary encoding
-//     (core.AppendBinary) and delta bodies carry only the mutable
-//     field set of a lifecycle transition (core.AppendBinaryDelta).
-//     A delta replays by folding onto the ID's current replay state;
-//     a delta whose base is absent is skipped — the snapshot-overlap
-//     window makes that shape legitimate (the op was deleted before
-//     the snapshot was cut, but its delta records live in retained
-//     segments).
+//   - op (type 4): a full snapshot in the compact binary encoding
+//     (core.AppendBinary);
+//   - delta (type 5): only the mutable field set of a lifecycle
+//     transition (core.AppendBinaryDelta). A delta replays by folding
+//     onto the ID's current replay state; a delta whose base is absent
+//     is skipped — the snapshot-overlap window makes that shape
+//     legitimate (the op was deleted before the snapshot was cut, but
+//     its delta records live in retained segments);
+//   - delete (type 3): the raw ID.
+//
+// Types 1 and 2 were the retired v1 codec's JSON put and update
+// records. This build cannot read them, and a CRC-valid frame of
+// either type is refused with errWALLegacy rather than treated as
+// corruption: truncating there would silently discard the rest of a
+// valid v1 log.
 //
 // Replay treats every full-record type as an idempotent upsert keyed
 // by ID, so re-applying an overlapping snapshot + segment suffix
@@ -36,7 +38,6 @@ package engine
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -46,13 +47,12 @@ import (
 )
 
 // WAL record types. The zero value is deliberately unused so an
-// all-zeroes torn frame can never masquerade as a valid record type.
+// all-zeroes torn frame can never masquerade as a valid record type,
+// and 1–2 belong to the retired v1 codec (see the file comment).
 const (
-	walRecPut     byte = 1 // v1: full snapshot, JSON body (legacy, read-only)
-	walRecUpdate  byte = 2 // v1: full snapshot, JSON body (legacy, read-only)
-	walRecDelete  byte = 3 // raw ID body (written by both generations)
-	walRecOpV2    byte = 4 // v2: full snapshot, binary body
-	walRecDeltaV2 byte = 5 // v2: mutable-field delta, binary body
+	walRecDelete  byte = 3 // raw ID body
+	walRecOpV2    byte = 4 // full snapshot, binary body
+	walRecDeltaV2 byte = 5 // mutable-field delta, binary body
 )
 
 // walFrameHeader is the fixed per-frame overhead: 4-byte length plus
@@ -65,9 +65,10 @@ const walFrameHeader = 8
 // allocation.
 const walMaxRecordBytes = 64 << 20
 
-// Sentinel replay failures. Both mean "the valid prefix ends here";
-// they differ only in what the bytes after it look like, which recovery
-// reports but handles the same way.
+// Sentinel replay failures. errWALTorn and errWALCorrupt both mean
+// "the valid prefix ends here"; they differ only in what the bytes
+// after it look like, which recovery reports but handles the same way.
+// errWALLegacy is not a prefix end: recovery refuses the whole log.
 var (
 	// errWALTorn means the data ends mid-frame — the classic crash
 	// mid-append shape.
@@ -75,6 +76,9 @@ var (
 	// errWALCorrupt means a structurally complete frame failed its
 	// checksum or carried an impossible length or type.
 	errWALCorrupt = errors.New("wal: corrupt frame")
+	// errWALLegacy means a CRC-valid frame carries a record type of the
+	// retired v1 JSON codec (1 or 2).
+	errWALLegacy = errors.New("wal: record written by the retired v1 JSON codec, which this build no longer reads")
 )
 
 // appendWALFrame appends one framed record to dst and returns the
@@ -104,20 +108,6 @@ func finishWALFrame(dst []byte, mark int) []byte {
 	binary.LittleEndian.PutUint32(dst[mark:mark+4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(dst[mark+4:mark+8], crc32.ChecksumIEEE(payload))
 	return dst
-}
-
-// encodeOpRecord frames an operation snapshot as a v1 JSON put or
-// update record. Only tests and the mixed-format migration fixtures
-// call it now — the live write path uses the v2 encoders below.
-// Marshalling an Operation only fails if a handler smuggled an
-// unserialisable value into Params, which the API's JSON decoding makes
-// impossible in practice.
-func encodeOpRecord(typ byte, op *core.Operation) ([]byte, error) {
-	body, err := json.Marshal(op)
-	if err != nil {
-		return nil, fmt.Errorf("wal: encoding operation %s: %w", op.ID, err)
-	}
-	return appendWALFrame(nil, typ, body), nil
 }
 
 // encodeOpRecordV2 appends a framed v2 full-snapshot record to dst in
@@ -150,11 +140,6 @@ func appendDeleteRecord(dst []byte, id string) []byte {
 	dst = append(dst, walRecDelete)
 	dst = append(dst, id...)
 	return finishWALFrame(dst, mark)
-}
-
-// encodeDeleteRecord frames a deletion as a standalone buffer.
-func encodeDeleteRecord(id string) []byte {
-	return appendDeleteRecord(nil, id)
 }
 
 // walEncPool recycles record-encode buffers so the hot mutation path
@@ -232,7 +217,7 @@ func walReplay(data []byte, apply func(typ byte, body []byte) error) (int, error
 // walDecoded is one record decoded off the log, ready to fold into
 // replay state. Exactly one of op / delta / del describes the record.
 type walDecoded struct {
-	op    *core.Operation   // full snapshot (v1 JSON or v2 binary)
+	op    *core.Operation   // full snapshot
 	delta *core.BinaryDelta // v2 mutable-field delta
 	del   string            // deletion target ID
 }
@@ -249,20 +234,13 @@ func (d *walDecoded) id() string {
 	return d.del
 }
 
-// decodeWALRecord decodes one record body (both codec generations)
-// without touching replay state — the pure half that parallel recovery
-// fans out. The returned record owns its memory; body may be reused.
+// decodeWALRecord decodes one record body without touching replay
+// state — the pure half that parallel recovery fans out. The returned
+// record owns its memory; body may be reused.
 func decodeWALRecord(typ byte, body []byte) (walDecoded, error) {
 	switch typ {
-	case walRecPut, walRecUpdate:
-		op := new(core.Operation)
-		if err := json.Unmarshal(body, op); err != nil {
-			return walDecoded{}, fmt.Errorf("%w: undecodable operation body: %v", errWALCorrupt, err)
-		}
-		if op.ID == "" {
-			return walDecoded{}, fmt.Errorf("%w: operation record without an id", errWALCorrupt)
-		}
-		return walDecoded{op: op}, nil
+	case 1, 2:
+		return walDecoded{}, fmt.Errorf("%w (record type %d)", errWALLegacy, typ)
 	case walRecOpV2:
 		op, err := core.DecodeBinaryOperation(body)
 		if err != nil {

@@ -1,82 +1,122 @@
 package engine
 
-// Codec-generation tests: the v1→v2 migration contract (mixed logs
-// replay), the delta-chain bound, and fuzzing of the binary bodies.
+// Codec tests: refusal of the retired v1 records, the delta-chain
+// bound, and fuzzing of the binary bodies.
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"opdaemon/internal/core"
 )
 
-// TestWALMixedFormatReplay proves the migration story: a log whose
-// oldest segment was written by the v1 JSON codec replays together
-// with v2 segments appended by the current store, and a second reopen
-// (all-v2 after compaction-free append) converges on the same state.
-func TestWALMixedFormatReplay(t *testing.T) {
-	dir := t.TempDir()
-	t0 := time.Unix(1000, 0)
-
-	// Hand-write a v1 segment the way the previous generation did:
-	// JSON puts, a JSON full-record update, and a tombstone.
-	var seg []byte
-	for i := 0; i < 5; i++ {
-		rec, err := encodeOpRecord(walRecPut, mkOp(fmt.Sprintf("v1-%02d", i), t0.Add(time.Duration(i)*time.Second)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		seg = append(seg, rec...)
-	}
-	upd := mkOp("v1-02", t0.Add(2*time.Second))
-	upd.Status = core.StatusDone
-	upd.UpdatedAt = t0.Add(time.Minute)
-	rec, err := encodeOpRecord(walRecUpdate, upd)
+// v1Frame frames op the way the retired v1 codec did: a JSON body under
+// record type 1 (put) or 2 (update).
+func v1Frame(t *testing.T, typ byte, op *core.Operation) []byte {
+	t.Helper()
+	body, err := json.Marshal(op)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg = append(seg, rec...)
-	seg = append(seg, encodeDeleteRecord("v1-04")...)
-	if err := os.WriteFile(filepath.Join(dir, walSegName(1)), seg, 0o644); err != nil {
+	return appendWALFrame(nil, typ, body)
+}
+
+// v2Frames frames ops as v2 full records.
+func v2Frames(t *testing.T, ops ...*core.Operation) []byte {
+	t.Helper()
+	var out []byte
+	for _, op := range ops {
+		var err error
+		if out, err = encodeOpRecordV2(out, op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// readDirFiles returns every file in dir by name with its contents.
+func readDirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
+	files := make(map[string]string, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(data)
+	}
+	return files
+}
 
-	s := openWAL(t, dir, WALConfig{Sync: WALSyncAlways})
-	if n := s.Len(); n != 4 {
-		t.Fatalf("v1 segment replayed to %d ops, want 4", n)
-	}
-	got, err := s.Get("v1-02")
-	if err != nil || got.Status != core.StatusDone {
-		t.Fatalf("Get(v1-02) = (%v, %v), want done op", got, err)
-	}
-	if _, err := s.Get("v1-04"); err == nil {
-		t.Fatal("v1 tombstone ignored: v1-04 survived replay")
-	}
+// TestWALRefusesLegacyRecords: a CRC-valid record of the retired v1
+// JSON codec (type 1 or 2) in a segment or a snapshot refuses the open
+// with an error naming that codec, and leaves the directory exactly as
+// it was. Treating such a frame as corruption would truncate the log
+// there and delete every later segment.
+func TestWALRefusesLegacyRecords(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	a, b, c := mkOp("a", t0), mkOp("b", t0.Add(time.Second)), mkOp("c", t0.Add(2*time.Second))
+	done := mkOp("b", t0.Add(time.Second))
+	done.Status = core.StatusDone
 
-	// Append v2 records on top: new puts, a delta-eligible update of a
-	// v1-era op, and a delete of another.
-	for i := 0; i < 3; i++ {
-		s.Put(mkOp(fmt.Sprintf("v2-%02d", i), t0.Add(time.Hour+time.Duration(i)*time.Second)))
+	cases := []struct {
+		name  string
+		files map[string][]byte
+	}{
+		{"segment", map[string][]byte{
+			walSegName(1): append(v2Frames(t, a), v1Frame(t, 1, b)...),
+			walSegName(2): v2Frames(t, c),
+		}},
+		// The snapshot covers segment 1, which recovery prunes — but
+		// only once nothing later refuses the log.
+		{"segment-after-snapshot", map[string][]byte{
+			walSnapName(1): v2Frames(t, a, b),
+			walSegName(1):  v2Frames(t, a, b),
+			walSegName(2):  append(v2Frames(t, c), v1Frame(t, 2, done)...),
+		}},
+		{"snapshot", map[string][]byte{
+			walSnapName(1): append(v1Frame(t, 1, a), v1Frame(t, 1, b)...),
+			walSegName(2):  v2Frames(t, c),
+		}},
 	}
-	if err := s.Update("v1-01", func(op *core.Operation) {
-		op.Status = core.StatusRunning
-		op.UpdatedAt = t0.Add(2 * time.Minute)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	s.Delete("v1-03")
-	want := listAll(t, s)
-	s.closeAbrupt()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for name, data := range tc.files {
+				if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := readDirFiles(t, dir)
 
-	r := openWAL(t, dir, WALConfig{Sync: WALSyncAlways})
-	defer r.Close()
-	sameOps(t, listAll(t, r), want)
-	if got, err := r.Get("v1-01"); err != nil || got.Status != core.StatusRunning {
-		t.Fatalf("v2 delta on v1 base: Get(v1-01) = (%v, %v), want running", got, err)
+			s, err := OpenWALStore(WALConfig{Dir: dir, Sync: WALSyncAlways})
+			if err == nil {
+				s.Close()
+				t.Fatal("OpenWALStore replayed a v1 record, want it refused")
+			}
+			if !errors.Is(err, errWALLegacy) || !strings.Contains(err.Error(), "v1") {
+				t.Fatalf("OpenWALStore error = %v, want one naming the retired v1 codec", err)
+			}
+			after := readDirFiles(t, dir)
+			if len(after) != len(before) {
+				t.Fatalf("directory changed: %d files before, %d after", len(before), len(after))
+			}
+			for name, data := range before {
+				if after[name] != data {
+					t.Errorf("%s changed by the refused open", name)
+				}
+			}
+		})
 	}
 }
 
@@ -141,8 +181,10 @@ func TestWALDeltaChainBound(t *testing.T) {
 	if counts[walRecDeltaV2] != updates-updates/walDeltaChainMax {
 		t.Errorf("delta records = %d, want %d", counts[walRecDeltaV2], updates-updates/walDeltaChainMax)
 	}
-	if counts[walRecPut] != 0 || counts[walRecUpdate] != 0 {
-		t.Errorf("fresh log contains legacy v1 records: %v", counts)
+	for typ := range counts {
+		if typ < walRecDelete || typ > walRecDeltaV2 {
+			t.Errorf("fresh log contains record type %d, want only types 3-5: %v", typ, counts)
+		}
 	}
 
 	r := openWAL(t, dir, WALConfig{Sync: WALSyncAlways})

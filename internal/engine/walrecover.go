@@ -9,9 +9,8 @@ package engine
 //  1. a sequential frame scan — framing is inherently serial (each
 //     frame's position depends on the previous length prefix), but it
 //     is only header reads plus a CRC per frame;
-//  2. parallel decode — the expensive half (JSON for v1 records,
-//     binary for v2) fans out across GOMAXPROCS workers over
-//     contiguous chunks of the scanned frames;
+//  2. parallel decode — the expensive half — fans out across
+//     GOMAXPROCS workers over contiguous chunks of the scanned frames;
 //  3. partitioned apply — records are partitioned by operation ID
 //     (the shard key), and one worker per partition walks the decoded
 //     records in log order applying only its own IDs. Same ID → same
@@ -25,6 +24,7 @@ package engine
 // final state.
 
 import (
+	"errors"
 	"fmt"
 	"hash/maphash"
 	"log"
@@ -241,6 +241,10 @@ type walLayout struct {
 // is truncated to its valid prefix and any later segments — which a
 // pure crash cannot produce, only real corruption — are deleted (loudly)
 // so that what remains on disk always equals the recovered state.
+//
+// A record of the retired v1 codec in any file replay reads refuses the
+// whole directory with an error wrapping errWALLegacy, before any file
+// is truncated or removed: such a log is valid, just unreadable here.
 func recoverWALState(dir string) (map[string]*core.Operation, walLayout, error) {
 	layout := walLayout{snapSeg: -1}
 	entries, err := os.ReadDir(dir)
@@ -281,6 +285,9 @@ func recoverWALState(dir string) (map[string]*core.Operation, walLayout, error) 
 		if rerr == nil {
 			n, rerr = trial.applyRefs(refs)
 		}
+		if errors.Is(rerr, errWALLegacy) {
+			return nil, layout, fmt.Errorf("wal: refusing snapshot %s at offset %d: %w", path, refs[n].off, rerr)
+		}
 		if rerr != nil {
 			log.Printf("engine: wal snapshot %s unusable (%v at offset %d); falling back", path, rerr, valid)
 			continue
@@ -297,16 +304,15 @@ func recoverWALState(dir string) (map[string]*core.Operation, walLayout, error) 
 	// bad frame ends the trusted history: truncate there, drop
 	// anything after.
 	truncated := false
+	var covered []int
 	for _, seg := range segs {
 		if seg > layout.maxSeg {
 			layout.maxSeg = seg
 		}
 		if seg <= layout.snapSeg {
-			// Obsolete: its contents are inside the snapshot. Remove it now
-			// so the live set stays minimal.
-			if err := os.Remove(filepath.Join(dir, walSegName(seg))); err != nil {
-				return nil, layout, fmt.Errorf("wal: pruning covered segment %d: %w", seg, err)
-			}
+			// Obsolete: its contents are inside the snapshot. Removed
+			// after replay, once no legacy record can refuse the log.
+			covered = append(covered, seg)
 			continue
 		}
 		path := filepath.Join(dir, walSegName(seg))
@@ -325,6 +331,9 @@ func recoverWALState(dir string) (map[string]*core.Operation, walLayout, error) 
 		var rerr error
 		refs, valid, rerr = walScanFrames(data, refs[:0])
 		n, aerr := state.applyRefs(refs)
+		if errors.Is(aerr, errWALLegacy) {
+			return nil, layout, fmt.Errorf("wal: refusing segment %s at offset %d: %w", path, refs[n].off, aerr)
+		}
 		if aerr != nil {
 			// A record that scans but does not decode ends the trusted
 			// prefix at its own frame, before wherever the scan stopped.
@@ -343,6 +352,12 @@ func recoverWALState(dir string) (map[string]*core.Operation, walLayout, error) 
 				return nil, layout, fmt.Errorf("wal: truncating torn segment %d: %w", seg, err)
 			}
 			truncated = true
+		}
+	}
+	// Prune the obsolete segments so the live set stays minimal.
+	for _, seg := range covered {
+		if err := os.Remove(filepath.Join(dir, walSegName(seg))); err != nil {
+			return nil, layout, fmt.Errorf("wal: pruning covered segment %d: %w", seg, err)
 		}
 	}
 	return state.merge(), layout, nil
