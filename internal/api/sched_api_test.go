@@ -148,7 +148,12 @@ func TestHealthReportsSchedulerFields(t *testing.T) {
 	w, resp := doJSON(t, s, http.MethodGet, "/v1/health", "")
 	checkEnvelope(t, w, resp, typeSync, http.StatusOK)
 	health, _ := resp.Result.(map[string]any)
-	for _, key := range []string{"queue_bands", "queue_clients", "shedding", "shed_at", "drain_per_sec"} {
+	for _, key := range []string{
+		"healthy", "kinds", "workers", "queue_depth", "queue_capacity",
+		"queue_bands", "queue_clients", "shedding", "shed_at", "drain_per_sec",
+		"store_len", "watch_waiters", "last_notice", "durable",
+		"wal_segments", "wal_batch_p50", "fsyncs_per_sec",
+	} {
 		if _, ok := health[key]; !ok {
 			t.Errorf("health report missing %q: %v", key, health)
 		}

@@ -599,8 +599,8 @@ func (e *Engine) Cancel(id string) (*core.Operation, error) {
 	var kind string
 	var at time.Time
 	err := e.store.Update(id, func(op *core.Operation) {
-		// Update may invoke fn more than once (optimistic stores retry
-		// on conflict), so captured state is reset and assigned from
+		// Update may invoke fn more than once (the store retries on
+		// conflict), so captured state is reset and assigned from
 		// this attempt's snapshot alone — never toggled cumulatively.
 		cancelled, running = false, false
 		switch op.Status {
@@ -886,7 +886,7 @@ func (e *Engine) transition(id string, next core.Status, result json.RawMessage,
 		// keeps the request-time CancelledAt stamp Cancel already
 		// recorded, backfilling only if a cancel bypassed Cancel
 		// (shouldn't happen). applied is assigned, not toggled: Update
-		// may invoke fn more than once (optimistic stores retry on
+		// may invoke fn more than once (the store retries on
 		// conflict), and only the attempt that publishes may stick.
 		applied = op.Transition(next, e.clock())
 		if !applied {

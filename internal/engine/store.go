@@ -62,9 +62,10 @@ type Store interface {
 	// transitions atomic. fn must not change the operation's ID.
 	// Returns core.ErrNotFound if the ID is unknown.
 	//
-	// Implementations may be optimistic: fn can be invoked more than
-	// once against successive snapshots before one publish wins (the
-	// WAL store retries on a conflicting concurrent publish). fn must
+	// In every store fn runs with no store lock held and may be
+	// retried: it can be invoked more than once against successive
+	// snapshots before one publish wins, since a conflicting
+	// concurrent publish makes the store start over. fn must
 	// therefore be effectively pure — derive everything from the clone
 	// it is handed, and ASSIGN any captured variables from that
 	// attempt's state rather than toggling them cumulatively, so the

@@ -431,6 +431,47 @@ func runStoreConformance(t *testing.T, mk func(t testing.TB) Store) {
 		}
 	})
 
+	t.Run("UpdateRetriesOnConflictingPublish", func(t *testing.T) {
+		// fn runs with no store lock held, so a Put can land while it
+		// runs. The publish must then retry fn against the replacement
+		// instead of overwriting it with a clone of the stale base.
+		s := mk(t)
+		s.Put(mkOp("x", t0))
+		replacement := mkOp("x", t0)
+		replacement.Kind = "replacement"
+		replacement.UpdatedAt = t0.Add(time.Hour)
+		calls := 0
+		err := s.Update("x", func(op *core.Operation) {
+			calls++
+			if calls == 1 {
+				landed := make(chan struct{})
+				go func() {
+					s.Put(replacement)
+					close(landed)
+				}()
+				select {
+				case <-landed:
+				case <-time.After(time.Second):
+					t.Error("conflicting Put did not land while fn ran")
+				}
+			}
+			op.UpdatedAt = op.UpdatedAt.Add(time.Minute)
+		})
+		if err != nil {
+			t.Fatalf("Update: %v", err)
+		}
+		if calls != 2 {
+			t.Errorf("fn ran %d times, want 2 (one retry after the conflicting Put)", calls)
+		}
+		got, err := s.Get("x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := t0.Add(time.Hour + time.Minute); got.Kind != "replacement" || !got.UpdatedAt.Equal(want) {
+			t.Errorf("final op = {%s %v}, want {replacement %v}", got.Kind, got.UpdatedAt, want)
+		}
+	})
+
 	t.Run("ListConcurrentWithUpdates", func(t *testing.T) {
 		// Pagination while workers transition: pages must always be
 		// well-formed (no nils, no duplicates, correct order), and old

@@ -1,10 +1,12 @@
 package engine
 
-// The ordered-index machinery shared by every in-memory Store
-// implementation: a storeShard couples one map of the ID space with an
-// opIndex keeping those operations in listing order, so List pages are
-// produced in O(limit) by walking (and, across shards, merging) index
-// tails instead of cloning and sorting the whole store per request.
+// The ordered-index machinery under the sharded store (and so under the
+// WAL store, which is the sharded store with a log attached): a
+// storeShard couples one map of the ID space with an opIndex keeping
+// those operations in listing order, so List pages are produced in
+// O(limit) by walking (and, across shards, merging) index tails instead
+// of cloning and sorting the whole store per request. The shard holds
+// state only; every mutation is written once, in store_sharded.go.
 
 import (
 	"sort"
@@ -80,39 +82,65 @@ func (ix *opIndex) remove(createdAt time.Time, id string) {
 	ix.ops = ix.ops[:len(ix.ops)-1]
 }
 
+// removeAll deletes the entries in gone — each present, and listed in
+// index order — in one compacting pass.
+func (ix *opIndex) removeAll(gone []*core.Operation) {
+	kept := ix.ops[:0]
+	for _, op := range ix.ops {
+		if len(gone) > 0 && op == gone[0] {
+			gone = gone[1:]
+			continue
+		}
+		kept = append(kept, op)
+	}
+	clear(ix.ops[len(kept):]) // unpin the evicted snapshots
+	ix.ops = kept
+}
+
 // storeShard is one partition of the ID space: a mutex-guarded map for
 // point lookups plus the opIndex that keeps the partition ordered. The
 // sharded store is one or more of them.
 //
 // Copy-on-write invariant: every *core.Operation reachable from ops or
-// the index is immutable. update clones, mutates the clone, and
+// the index is immutable. Update clones, mutates the clone, and
 // republishes, so get and list hand out shared pointers with zero
 // copying and readers outlive the lock safely.
 type storeShard struct {
 	mu  sync.RWMutex
 	ops map[string]*core.Operation
 	ix  opIndex
+	// deltaN counts each live delta chain's length for a store with a
+	// log (see walDeltaChainMax); it stays empty without one. An
+	// absent entry means "last logged record was a full snapshot".
+	deltaN map[string]uint8
 }
 
 func newStoreShard() *storeShard {
-	return &storeShard{ops: make(map[string]*core.Operation)}
+	return &storeShard{
+		ops:    make(map[string]*core.Operation),
+		deltaN: make(map[string]uint8),
+	}
 }
 
-// put installs op (taking ownership — the caller must not mutate it
-// afterwards), replacing any previous operation with the same ID.
-// Callers hold the write lock.
+// putLocked installs op (taking ownership — the caller must not mutate
+// it afterwards), replacing any previous operation with the same ID;
+// a fresh full record restarts the ID's delta chain. Callers hold the
+// write lock.
 func (sh *storeShard) putLocked(op *core.Operation) {
 	if old, ok := sh.ops[op.ID]; ok {
 		sh.ix.remove(old.CreatedAt, old.ID)
 	}
 	sh.ops[op.ID] = op
+	delete(sh.deltaN, op.ID)
 	sh.ix.insert(op)
 }
 
-func (sh *storeShard) put(op *core.Operation) {
-	sh.mu.Lock()
-	sh.putLocked(op)
-	sh.mu.Unlock()
+// removeLocked unpublishes op, which must be the snapshot stored under
+// its ID. Callers hold the write lock.
+func (sh *storeShard) removeLocked(op *core.Operation) {
+	delete(sh.ops, op.ID)
+	delete(sh.deltaN, op.ID)
+	sh.ix.remove(op.CreatedAt, op.ID)
 }
 
 // get returns the published snapshot — a shared immutable pointer, no
@@ -125,72 +153,6 @@ func (sh *storeShard) get(id string) (*core.Operation, error) {
 		return nil, core.ErrNotFound
 	}
 	return op, nil
-}
-
-// update applies fn to a private clone of the stored operation and
-// publishes the clone, all under the shard's write lock — concurrent
-// read-modify-write transitions stay atomic, while snapshots handed
-// out earlier keep their pre-update values forever.
-func (sh *storeShard) update(id string, fn func(op *core.Operation)) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	old, ok := sh.ops[id]
-	if !ok {
-		return core.ErrNotFound
-	}
-	c := old.Clone()
-	// This is THE sanctioned callback-under-lock: Update's contract is
-	// that fn mutates a private clone atomically with its publication,
-	// and every engine callback is a handful of field writes. Anything
-	// heavier belongs outside the store.
-	//lint:allow opdaemon/lockscope Update's clone-mutation callback is the store's core contract
-	fn(c)
-	sh.ops[id] = c
-	if c.ID == old.ID && c.CreatedAt.Equal(old.CreatedAt) {
-		sh.ix.replace(c)
-	} else {
-		// fn moved the operation's index key (nothing in the engine
-		// does, but the contract doesn't forbid it): reindex under the
-		// new key so ordering stays correct.
-		delete(sh.ops, old.ID)
-		sh.ops[c.ID] = c
-		sh.ix.remove(old.CreatedAt, old.ID)
-		sh.ix.insert(c)
-	}
-	return nil
-}
-
-func (sh *storeShard) delete(id string) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	old, ok := sh.ops[id]
-	if !ok {
-		return
-	}
-	delete(sh.ops, id)
-	sh.ix.remove(old.CreatedAt, old.ID)
-}
-
-// sweepTerminalBefore evicts expired terminal operations in one pass
-// over the index, compacting it in place — no clones, no sorting, and
-// the map deletes ride the same traversal.
-func (sh *storeShard) sweepTerminalBefore(cutoff time.Time) int {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	kept := sh.ix.ops[:0]
-	for _, op := range sh.ix.ops {
-		if op.Status.Terminal() && op.UpdatedAt.Before(cutoff) {
-			delete(sh.ops, op.ID)
-			continue
-		}
-		kept = append(kept, op)
-	}
-	evicted := len(sh.ix.ops) - len(kept)
-	for i := len(kept); i < len(sh.ix.ops); i++ {
-		sh.ix.ops[i] = nil // unpin evicted snapshots
-	}
-	sh.ix.ops = kept
-	return evicted
 }
 
 func (sh *storeShard) len() int {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"hash/maphash"
+	"log"
 	"runtime"
 	"sort"
 	"sync"
@@ -26,14 +27,17 @@ func DefaultShardCount() int {
 // separately locked map plus an ordered index. Operations are assigned
 // to shards by a maphash of their ID (per-process random seed), so
 // goroutines touching different operations almost always contend on
-// different locks. It is the engine's one in-memory Store (the WAL
-// store wraps it too); the conformance suite in
+// different locks. It is the engine's one Store implementation: the
+// WAL store is this store with a log attached. The conformance suite in
 // store_conformance_test.go holds it to the interface contract.
 type shardedStore struct {
 	shards []*storeShard
 	// mask is len(shards)-1; with a power-of-two shard count,
 	// hash&mask selects a shard without a modulo.
 	mask uint32
+	// log is the write-ahead log every mutation stages its record
+	// into; nil for a memory-only store.
+	log *wal
 }
 
 // maxShardCount bounds the shard count. 2^16 shards is far beyond any
@@ -48,6 +52,10 @@ const maxShardCount = 1 << 16
 // what NewMemStore returns, and the single-lock baseline in
 // benchmarks.
 func NewShardedStore(n int) Store {
+	return newShardedStore(n)
+}
+
+func newShardedStore(n int) *shardedStore {
 	n = normalizeShardCount(n)
 	s := &shardedStore{
 		shards: make([]*storeShard, n),
@@ -87,8 +95,21 @@ func (s *shardedStore) shard(id string) *storeShard {
 	return s.shards[s.shardIndex(id)]
 }
 
+// The mutators below are the store's one write path, with or without a
+// log. The log must record mutations in the same per-ID order the index
+// publishes them, or replay could resurrect a stale state, so each
+// mutation stages its record into the WAL batch buffer while still
+// holding the shard's write lock: apply and enqueue are atomic per
+// record. That nests walBatch.mu inside storeShard.mu (the one
+// sanctioned lock nesting, policed by lockscope), and it is why
+// writers never touch the file themselves. Records are encoded before
+// the lock is taken (lockscope's codec rule enforces it), so the
+// critical section is apply + staging of a prepared buffer. A mutator
+// asks whether s.log is nil only to decide whether to encode;
+// enqueue and the waits are no-ops without a log.
+
 func (s *shardedStore) Put(op *core.Operation) {
-	s.shard(op.ID).put(op)
+	s.log.admitWait(s.putShard(s.shardIndex(op.ID), []*core.Operation{op}))
 }
 
 func (s *shardedStore) PutBatch(ops []*core.Operation) {
@@ -106,17 +127,51 @@ func (s *shardedStore) PutBatch(ops []*core.Operation) {
 		i := s.shardIndex(op.ID)
 		buckets[i] = append(buckets[i], op)
 	}
+	var last *walGen
 	for i, bucket := range buckets {
 		if len(bucket) == 0 {
 			continue
 		}
-		sh := s.shards[i]
-		sh.mu.Lock()
-		for _, op := range bucket {
-			sh.putLocked(op)
+		if g := s.putShard(i, bucket); g != nil {
+			last = g
 		}
-		sh.mu.Unlock()
 	}
+	// All buckets board the same in-flight generation in practice;
+	// waiting on the newest ticket covers every staged record because
+	// generations commit in order.
+	s.log.admitWait(last)
+}
+
+// putShard installs ops, which all hash to shard i, under one
+// acquisition of its write lock and returns the commit ticket of their
+// staged records. The records capture the operations as handed over,
+// which ownership transfer makes stable.
+func (s *shardedStore) putShard(i int, ops []*core.Operation) *walGen {
+	var buf *[]byte
+	recs := 0
+	if s.log != nil {
+		buf = getEncBuf()
+		for _, op := range ops {
+			var err error
+			if *buf, err = encodeOpRecordV2(*buf, op); err != nil {
+				// Memory-only fallback: the mutation still applies but
+				// will not survive a restart. The encoder rewound to
+				// the frame mark.
+				log.Printf("engine: %v; operation is not durable", err)
+				continue
+			}
+			recs++
+		}
+	}
+	sh := s.shards[i]
+	sh.mu.Lock()
+	for _, op := range ops {
+		sh.putLocked(op)
+	}
+	g := s.log.enqueue(buf, recs)
+	sh.mu.Unlock()
+	putEncBuf(buf)
+	return g
 }
 
 // bulkLoad installs a recovered operation set wholesale: bucket by
@@ -245,23 +300,197 @@ func startPosFor(sh *storeShard, key *core.Operation) int {
 	return sh.startPos(true, key.CreatedAt, key.ID)
 }
 
+// Update is optimistic: it clones the published snapshot and runs fn
+// with no lock held, then publishes under the shard's write lock only
+// if the shard still maps id to the pointer it cloned. Published
+// snapshots are immutable, so an unchanged pointer proves nothing
+// intervened; otherwise the whole round retries against the fresh
+// snapshot (so fn may run more than once — see Store.Update's
+// contract). Contention on one ID is engine-rare (a transition race
+// with Cancel), so retries are too.
+//
+// With a log, a pure lifecycle transition logs a compact delta record;
+// anything that touched immutable-by-convention fields — or a delta
+// chain at its bound — logs a full snapshot. Under WALSyncAlways the
+// caller waits for the fsync; group mode logs transitions
+// asynchronously (see WALSyncMode).
 func (s *shardedStore) Update(id string, fn func(op *core.Operation)) error {
-	return s.shard(id).update(id, fn)
-}
+	sh := s.shard(id)
+	for {
+		sh.mu.RLock()
+		old, ok := sh.ops[id]
+		chain := sh.deltaN[id]
+		sh.mu.RUnlock()
+		if !ok {
+			return core.ErrNotFound
+		}
 
-func (s *shardedStore) Delete(id string) {
-	s.shard(id).delete(id)
-}
+		c := old.Clone()
+		fn(c)
+		sameKey := c.ID == old.ID && c.CreatedAt.Equal(old.CreatedAt)
+		asDelta := false
+		var buf *[]byte
+		if s.log != nil {
+			asDelta = sameKey && chain+1 < walDeltaChainMax && core.DeltaEligible(old, c)
+			buf = getEncBuf()
+			*buf = appendUpdateRecord(*buf, old, c, asDelta)
+		}
 
-func (s *shardedStore) SweepTerminalBefore(cutoff time.Time) int {
-	// One shard lock at a time: the sweep never holds more than one
-	// lock, so concurrent per-operation traffic on other shards is
-	// unaffected. (List holds all shard locks, but only read locks,
-	// acquired in index order — no cycle with this sequential walk.)
-	evicted := 0
-	for _, sh := range s.shards {
-		evicted += sh.sweepTerminalBefore(cutoff)
+		sh.mu.Lock()
+		if sh.ops[id] != old {
+			// A conflicting publish (another update, a delete, a re-put)
+			// landed between snapshot and lock: the clone and record
+			// describe a stale base. Drop both and retry.
+			sh.mu.Unlock()
+			putEncBuf(buf)
+			continue
+		}
+		if sameKey {
+			sh.ops[id] = c
+			sh.ix.replace(c)
+		} else {
+			// fn moved the operation's index key (nothing in the engine
+			// does, but the contract allows a new CreatedAt): reindex
+			// under the new key so ordering stays correct.
+			sh.removeLocked(old)
+			sh.putLocked(c)
+		}
+		if asDelta {
+			sh.deltaN[id] = chain + 1
+		} else {
+			delete(sh.deltaN, id)
+		}
+		g := s.log.enqueue(buf, 1)
+		sh.mu.Unlock()
+		putEncBuf(buf)
+		s.log.transitionWait(g)
+		return nil
 	}
+}
+
+// appendUpdateRecord encodes the log record for an update that turned
+// old into c: a delta when asDelta, else a full snapshot, preceded by
+// old's tombstone when fn moved the ID so replay tracks the
+// disappearance.
+func appendUpdateRecord(dst []byte, old, c *core.Operation, asDelta bool) []byte {
+	if asDelta {
+		return encodeDeltaRecordV2(dst, c)
+	}
+	if c.ID != old.ID {
+		dst = appendDeleteRecord(dst, old.ID)
+	}
+	dst, err := encodeOpRecordV2(dst, c)
+	if err != nil {
+		log.Printf("engine: %v; update is not durable", err)
+	}
+	return dst
+}
+
+// Delete removes the operation and stages its tombstone. The tombstone
+// is encoded up front — wasted work when the operation turns out not to
+// exist, but deletes of absent IDs are not a path worth a codec call
+// inside the lock.
+func (s *shardedStore) Delete(id string) {
+	var buf *[]byte
+	if s.log != nil {
+		buf = getEncBuf()
+		*buf = appendDeleteRecord(*buf, id)
+	}
+	sh := s.shard(id)
+	var g *walGen
+	sh.mu.Lock()
+	// Nothing stored means nothing to tombstone: replay of the existing
+	// log already yields absence.
+	if old, ok := sh.ops[id]; ok {
+		sh.removeLocked(old)
+		g = s.log.enqueue(buf, 1)
+	}
+	sh.mu.Unlock()
+	putEncBuf(buf)
+	s.log.transitionWait(g)
+}
+
+// SweepTerminalBefore evicts expired terminal operations one shard at
+// a time: the sweep never holds more than one lock, so concurrent
+// per-operation traffic on other shards is unaffected. (List holds all
+// shard locks, but only read locks, acquired in index order — no cycle
+// with this sequential walk.) Each shard takes two passes so no
+// tombstone is encoded under the lock: a read-locked pass collects the
+// candidates, their tombstones are encoded lock-free, and a
+// write-locked pass confirms each candidate by pointer identity (a
+// re-Put or update between the passes publishes a different snapshot,
+// which is left alone), evicts the confirmed ones, and stages their
+// frames. A mass eviction additionally requests a compaction so the
+// reclaimed history stops costing replay time.
+func (s *shardedStore) SweepTerminalBefore(cutoff time.Time) int {
+	evicted := 0
+	var last *walGen
+	var buf *[]byte
+	if s.log != nil {
+		buf = getEncBuf()
+	}
+	var cands []*core.Operation
+	var offs []int
+	for _, sh := range s.shards {
+		cands = cands[:0]
+		sh.mu.RLock()
+		for _, op := range sh.ix.ops {
+			if op.Status.Terminal() && op.UpdatedAt.Before(cutoff) {
+				cands = append(cands, op)
+			}
+		}
+		sh.mu.RUnlock()
+		if len(cands) == 0 {
+			continue
+		}
+
+		if buf != nil {
+			// Encode every candidate's tombstone contiguously,
+			// remembering frame boundaries so the confirm pass can
+			// keep the confirmed ones.
+			*buf = (*buf)[:0]
+			offs = offs[:0]
+			for _, op := range cands {
+				offs = append(offs, len(*buf))
+				*buf = appendDeleteRecord(*buf, op.ID)
+			}
+			offs = append(offs, len(*buf))
+		}
+
+		sh.mu.Lock()
+		// Filter cands in place down to the confirmed evictions, which
+		// stay in index order, and compact their tombstones to the
+		// front of the buffer.
+		confirmed := cands[:0]
+		staged := 0
+		for ci, op := range cands {
+			if sh.ops[op.ID] != op {
+				continue
+			}
+			delete(sh.ops, op.ID)
+			delete(sh.deltaN, op.ID)
+			confirmed = append(confirmed, op)
+			if buf != nil {
+				staged += copy((*buf)[staged:], (*buf)[offs[ci]:offs[ci+1]])
+			}
+		}
+		if len(confirmed) > 0 {
+			sh.ix.removeAll(confirmed)
+			if buf != nil {
+				*buf = (*buf)[:staged]
+			}
+			if g := s.log.enqueue(buf, len(confirmed)); g != nil {
+				last = g
+			}
+		}
+		sh.mu.Unlock()
+		evicted += len(confirmed)
+	}
+	putEncBuf(buf)
+	if evicted >= sweepCompactThreshold {
+		s.log.requestCompact()
+	}
+	s.log.transitionWait(last)
 	return evicted
 }
 

@@ -89,6 +89,10 @@ type walBatch struct {
 	// gen is the current generation's ticket, created lazily by the
 	// first writer to board the batch.
 	gen *walGen
+	// last is the most recently detached generation, which the
+	// committer may still be writing; flush waits on it when nothing
+	// new is staged.
+	last *walGen
 }
 
 // walStatsCounters aggregates the observability counters the health
@@ -257,13 +261,14 @@ func (w *wal) openSegment(i int) error {
 	return nil
 }
 
-// enqueue boards one or more already-framed records (recs counts them)
+// enqueue boards the already-framed records in buf (recs counts them)
 // onto the current batch and wakes the committer, returning the
 // generation ticket the caller may wait on. Callers may hold a
 // storeShard lock: enqueue only appends to the staging buffer; all file
-// I/O happens on the committer goroutine.
-func (w *wal) enqueue(frames []byte, recs int) *walGen {
-	if len(frames) == 0 {
+// I/O happens on the committer goroutine. With no log or nothing
+// encoded it is a no-op returning a nil ticket.
+func (w *wal) enqueue(buf *[]byte, recs int) *walGen {
+	if w == nil || buf == nil || len(*buf) == 0 {
 		return nil
 	}
 	b := &w.batch
@@ -272,7 +277,7 @@ func (w *wal) enqueue(frames []byte, recs int) *walGen {
 		b.gen = &walGen{done: make(chan struct{})}
 	}
 	g := b.gen
-	b.buf = append(b.buf, frames...)
+	b.buf = append(b.buf, *buf...)
 	b.n += recs
 	b.mu.Unlock()
 	select {
@@ -284,7 +289,8 @@ func (w *wal) enqueue(frames []byte, recs int) *walGen {
 
 // admitWait parks the caller until its admission record is durable —
 // the group-commit ticket wait — under the modes that promise durable
-// admission. Under WALSyncNone nobody waits.
+// admission. Under WALSyncNone nobody waits, and a nil ticket (no log,
+// nothing staged) has nothing to wait for.
 func (w *wal) admitWait(g *walGen) {
 	if g == nil || w.mode == WALSyncNone {
 		return
@@ -295,7 +301,7 @@ func (w *wal) admitWait(g *walGen) {
 // transitionWait parks the caller for a transition record only under
 // WALSyncAlways; group mode logs transitions asynchronously (recovery
 // resubmits or fails what the loss window eats — see
-// docs/persistence.md).
+// docs/persistence.md). A nil ticket returns at once.
 func (w *wal) transitionWait(g *walGen) {
 	if g == nil || w.mode != WALSyncAlways {
 		return
@@ -323,11 +329,17 @@ func (w *wal) stagedRecords() int {
 }
 
 // flush forces a commit of everything staged so far and waits for it,
-// returning the commit's write/fsync outcome.
+// returning the commit's write/fsync outcome. With nothing new staged
+// it waits on the last detached generation, which the committer may
+// still be writing. Generations commit in order, so either ticket
+// covers every record staged before the call.
 func (w *wal) flush() error {
 	b := &w.batch
 	b.mu.Lock()
 	g := b.gen
+	if g == nil {
+		g = b.last
+	}
 	b.mu.Unlock()
 	if g == nil {
 		return nil
@@ -422,6 +434,7 @@ func (w *wal) commit() {
 	buf, gen, n := b.buf, b.gen, b.n
 	b.buf = w.spare[:0]
 	b.gen = nil
+	b.last = gen
 	b.n = 0
 	b.mu.Unlock()
 
@@ -616,9 +629,13 @@ func syncDir(dir string) error {
 }
 
 // requestCompact asks the committer to fold the log into a snapshot at
-// its next convenient point; WALStore calls it after a large terminal
-// sweep so deleted history stops occupying replay time.
+// its next convenient point; the store calls it after a large terminal
+// sweep so deleted history stops occupying replay time. A no-op with
+// no log.
 func (w *wal) requestCompact() {
+	if w == nil {
+		return
+	}
 	w.compactReq.Store(true)
 	select {
 	case w.kick <- struct{}{}:

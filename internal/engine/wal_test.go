@@ -208,6 +208,58 @@ func TestWALStoreFlushBarrier(t *testing.T) {
 	}
 }
 
+// TestWALStoreFlushWaitsForDetachedBatch: Flush is a barrier even when
+// the committer has already detached the batch holding the caller's
+// record and is still writing it. Under a 1-byte segment bound every
+// commit rotates, and opening the next segment takes segMu before the
+// batch's ticket resolves, so holding segMu keeps the batch detached
+// but uncommitted for as long as the test needs.
+func TestWALStoreFlushWaitsForDetachedBatch(t *testing.T) {
+	s := openWAL(t, t.TempDir(), WALConfig{Sync: WALSyncNone, SegmentBytes: 1})
+	defer s.Close()
+	w := s.log
+
+	w.segMu.Lock()
+	rec := appendDeleteRecord(nil, "a")
+	g := w.enqueue(&rec, 1)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		w.batch.mu.Lock()
+		detached := w.batch.gen != g
+		w.batch.mu.Unlock()
+		if detached {
+			break
+		}
+		if time.Now().After(deadline) {
+			w.segMu.Unlock()
+			t.Fatal("committer never detached the staged batch")
+		}
+	}
+
+	committed := make(chan bool, 1)
+	go func() {
+		if err := s.Flush(); err != nil {
+			t.Errorf("Flush: %v", err)
+		}
+		select {
+		case <-g.done:
+			committed <- true
+		default:
+			committed <- false
+		}
+	}()
+	var ok bool
+	select {
+	case ok = <-committed: // Flush returned while the committer was blocked
+		w.segMu.Unlock()
+	case <-time.After(200 * time.Millisecond):
+		w.segMu.Unlock()
+		ok = <-committed
+	}
+	if !ok {
+		t.Error("Flush returned before the detached batch was committed")
+	}
+}
+
 // TestWALStoreCompaction drives segment rotation until the committer
 // folds closed segments into a snapshot, then proves the snapshot is
 // sufficient: a reopen recovers the full state from it plus the
@@ -440,9 +492,11 @@ func TestEngineRecoverIgnoresShedThreshold(t *testing.T) {
 	}
 }
 
-// FuzzWALReplay fuzzes the codec's central promise: replay never
-// panics, the reported valid prefix is within bounds, and replaying
-// that prefix alone is clean and converges on the identical state.
+// FuzzWALReplay fuzzes the codec's central promise through the
+// per-file replay recovery runs, with two partitions so the parallel
+// decode and apply are exercised: replay never panics, the reported
+// valid prefix is within bounds, and replaying that prefix alone is
+// clean and converges on the identical state.
 func FuzzWALReplay(f *testing.F) {
 	t0 := time.Unix(1000, 0)
 	var valid []byte
@@ -468,10 +522,8 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(appendWALFrame(append([]byte(nil), valid...), 1, []byte(`{"id":"op-9"}`)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		state := make(map[string]*core.Operation)
-		n, err := walReplay(data, func(typ byte, body []byte) error {
-			return applyWALRecord(state, typ, body)
-		})
+		p := newReplayPartitions(2)
+		_, n, err := p.replayFile(data)
 		if n < 0 || n > len(data) {
 			t.Fatalf("valid prefix %d out of bounds [0, %d]", n, len(data))
 		}
@@ -480,13 +532,12 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		// The prefix property recovery depends on: truncating to the
 		// reported prefix yields a clean replay with the same state.
-		again := make(map[string]*core.Operation)
-		m, err2 := walReplay(data[:n], func(typ byte, body []byte) error {
-			return applyWALRecord(again, typ, body)
-		})
+		q := newReplayPartitions(2)
+		_, m, err2 := q.replayFile(data[:n])
 		if err2 != nil || m != n {
 			t.Fatalf("replay of valid prefix = (%d, %v), want (%d, nil)", m, err2, n)
 		}
+		state, again := p.merge(), q.merge()
 		if len(again) != len(state) {
 			t.Fatalf("prefix replay state has %d ops, want %d", len(again), len(state))
 		}

@@ -165,9 +165,10 @@ func getEncBuf() *[]byte {
 }
 
 // putEncBuf returns a buffer to the pool once its bytes have been
-// copied into the WAL batch. Oversized buffers are dropped.
+// copied into the WAL batch. Oversized buffers are dropped, and a nil
+// buffer (a store with no log encodes nothing) is ignored.
 func putEncBuf(b *[]byte) {
-	if cap(*b) <= walEncPoolMaxCap {
+	if b != nil && cap(*b) <= walEncPoolMaxCap {
 		walEncPool.Put(b)
 	}
 }
@@ -181,37 +182,6 @@ func walFrameLen(frame []byte) uint32 {
 // walFrameCRCOK checks the frame's stored checksum against its payload.
 func walFrameCRCOK(frame, payload []byte) bool {
 	return crc32.ChecksumIEEE(payload) == binary.LittleEndian.Uint32(frame[4:8])
-}
-
-// walReplay walks the frames in data, invoking apply for each valid
-// record in order, and returns the byte length of the valid prefix.
-// Scanning stops at the first torn or corrupt frame (or at a record
-// apply refuses); everything before it has been applied, everything
-// from it on is untrusted. A clean walk to the end returns (len(data),
-// nil).
-func walReplay(data []byte, apply func(typ byte, body []byte) error) (int, error) {
-	pos := 0
-	for pos < len(data) {
-		if len(data)-pos < walFrameHeader {
-			return pos, errWALTorn
-		}
-		n := int(binary.LittleEndian.Uint32(data[pos : pos+4]))
-		if n < 1 || n > walMaxRecordBytes {
-			return pos, fmt.Errorf("%w: impossible payload length %d", errWALCorrupt, n)
-		}
-		if len(data)-pos-walFrameHeader < n {
-			return pos, errWALTorn
-		}
-		payload := data[pos+walFrameHeader : pos+walFrameHeader+n]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[pos+4:pos+8]) {
-			return pos, fmt.Errorf("%w: checksum mismatch", errWALCorrupt)
-		}
-		if err := apply(payload[0], payload[1:]); err != nil {
-			return pos, err
-		}
-		pos += walFrameHeader + n
-	}
-	return pos, nil
 }
 
 // walDecoded is one record decoded off the log, ready to fold into
@@ -263,9 +233,8 @@ func decodeWALRecord(typ byte, body []byte) (walDecoded, error) {
 // applyDecoded folds one decoded record into the replay state map:
 // full records upsert, deltas fold onto the ID's current state (a
 // delta with no base is skipped — see the package comment), deletes
-// remove. Sequential replay and every parallel-recovery partition
-// worker share this one definition of "apply", so their semantics
-// cannot drift.
+// remove. Every parallel-recovery partition worker shares this one
+// definition of "apply".
 func applyDecoded(state map[string]*core.Operation, d walDecoded) {
 	switch {
 	case d.op != nil:
@@ -277,17 +246,4 @@ func applyDecoded(state map[string]*core.Operation, d walDecoded) {
 	default:
 		delete(state, d.del)
 	}
-}
-
-// applyWALRecord decodes and folds one record into the replay state
-// map. It rejects records that decode but make no sense (unknown type,
-// empty ID) so replay treats them as the end of the valid prefix. The
-// sequential-replay composition the fuzz target pins.
-func applyWALRecord(state map[string]*core.Operation, typ byte, body []byte) error {
-	d, err := decodeWALRecord(typ, body)
-	if err != nil {
-		return err
-	}
-	applyDecoded(state, d)
-	return nil
 }

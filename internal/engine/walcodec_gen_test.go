@@ -120,7 +120,7 @@ func TestWALRefusesLegacyRecords(t *testing.T) {
 	}
 }
 
-// countWALRecordTypes replays every segment in dir and tallies record
+// countWALRecordTypes scans every segment in dir and tallies record
 // types across them.
 func countWALRecordTypes(t *testing.T, dir string) map[byte]int {
 	t.Helper()
@@ -138,11 +138,12 @@ func countWALRecordTypes(t *testing.T, dir string) map[byte]int {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := walReplay(data, func(typ byte, _ []byte) error {
-			counts[typ]++
-			return nil
-		}); err != nil {
-			t.Fatalf("replaying %s: %v", e.Name(), err)
+		refs, _, err := walScanFrames(data, nil)
+		if err != nil {
+			t.Fatalf("scanning %s: %v", e.Name(), err)
+		}
+		for _, ref := range refs {
+			counts[ref.typ]++
 		}
 	}
 	return counts

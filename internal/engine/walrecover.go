@@ -17,11 +17,11 @@ package engine
 //     partition → same worker, so per-operation replay order is
 //     exactly the log order, which is all last-writer-wins needs.
 //
-// The partition states persist across the snapshot and every segment
-// and merge into one map at the end, so the function's contract is
-// identical to the sequential version the fuzz target still pins
-// (walReplay + applyWALRecord): same valid-prefix semantics, same
-// final state.
+// replayPartitions.replayFile runs the pipeline over one file, for
+// snapshots and segments alike, and FuzzWALReplay drives the same
+// function, so the fuzzer covers the code recovery runs. The partition
+// states persist across the snapshot and every segment and merge into
+// one map at the end.
 
 import (
 	"errors"
@@ -42,11 +42,6 @@ import (
 // logging: a large-log boot prints a line at least this often instead
 // of hanging silently.
 const walReplayLogEvery = 50_000
-
-// walParallelMinRecords is the fan-out floor: files with fewer scanned
-// records decode inline — goroutine startup would cost more than it
-// saves.
-const walParallelMinRecords = 4096
 
 // walRef locates one validated frame's payload inside a mapped file:
 // the scan stage's output, the decode stage's input.
@@ -90,6 +85,8 @@ func walScanFrames(data []byte, refs []walRef) ([]walRef, int, error) {
 type replayPartitions struct {
 	n     int
 	state []map[string]*core.Operation
+	// refs is the frame scan's output buffer, reused across files.
+	refs []walRef
 }
 
 func newReplayPartitions(n int) *replayPartitions {
@@ -132,26 +129,19 @@ func (p *replayPartitions) merge() map[string]*core.Operation {
 	return out
 }
 
-// applyRefs decodes and applies the scanned records in log order,
-// fanning decode and apply out across the partitions' workers when the
-// file is big enough to pay for it. It returns how many leading
-// records applied and, when that is fewer than len(refs), the decode
-// failure that ended the trusted prefix — the same contract as
-// sequential replay: everything before the failure is applied,
-// everything from it on is untrusted.
-func (p *replayPartitions) applyRefs(refs []walRef) (int, error) {
+// replayFile scans the frames in data, then decodes and applies their
+// records in log order, fanning decode and apply out across the
+// partitions' workers. It returns how many records applied, the byte
+// length of the trusted prefix, and the error that ended it (nil when
+// the whole file replayed): a torn or corrupt frame ends the prefix at
+// that frame, and so does a record that scans but does not decode.
+// Everything before the end is applied, everything from it on is
+// untrusted.
+func (p *replayPartitions) replayFile(data []byte) (int, int, error) {
+	refs, valid, scanErr := walScanFrames(data, p.refs[:0])
+	p.refs = refs
 	if len(refs) == 0 {
-		return 0, nil
-	}
-	if p.n == 1 || len(refs) < walParallelMinRecords {
-		for i, ref := range refs {
-			d, err := decodeWALRecord(ref.typ, ref.body)
-			if err != nil {
-				return i, err
-			}
-			applyDecoded(p.state[p.part(d.id())], d)
-		}
-		return len(refs), nil
+		return 0, valid, scanErr
 	}
 
 	// Decode stage: contiguous chunks, one worker each. Workers write
@@ -214,9 +204,9 @@ func (p *replayPartitions) applyRefs(refs []walRef) (int, error) {
 	}
 	wg.Wait()
 	if cut < len(refs) {
-		return cut, errs[cut]
+		return cut, refs[cut].off, errs[cut]
 	}
-	return cut, nil
+	return cut, valid, scanErr
 }
 
 // walLayout describes what recovery found on disk, for newWAL to
@@ -266,7 +256,6 @@ func recoverWALState(dir string) (map[string]*core.Operation, walLayout, error) 
 
 	state := newReplayPartitions(runtime.GOMAXPROCS(0))
 	replayed := 0 // cumulative applied records, for progress logging
-	var refs []walRef
 
 	// Try snapshots newest-first; a snapshot that fails to replay
 	// cleanly (which the atomic rename install should make impossible)
@@ -277,16 +266,10 @@ func recoverWALState(dir string) (map[string]*core.Operation, walLayout, error) 
 		if err != nil {
 			return nil, layout, fmt.Errorf("wal: reading snapshot %s: %w", path, err)
 		}
-		var valid int
-		var rerr error
-		refs, valid, rerr = walScanFrames(data, refs[:0])
 		trial := newReplayPartitions(state.n)
-		n := 0
-		if rerr == nil {
-			n, rerr = trial.applyRefs(refs)
-		}
+		n, valid, rerr := trial.replayFile(data)
 		if errors.Is(rerr, errWALLegacy) {
-			return nil, layout, fmt.Errorf("wal: refusing snapshot %s at offset %d: %w", path, refs[n].off, rerr)
+			return nil, layout, fmt.Errorf("wal: refusing snapshot %s at offset %d: %w", path, valid, rerr)
 		}
 		if rerr != nil {
 			log.Printf("engine: wal snapshot %s unusable (%v at offset %d); falling back", path, rerr, valid)
@@ -327,17 +310,9 @@ func recoverWALState(dir string) (map[string]*core.Operation, walLayout, error) 
 		if err != nil {
 			return nil, layout, fmt.Errorf("wal: reading segment %s: %w", path, err)
 		}
-		var valid int
-		var rerr error
-		refs, valid, rerr = walScanFrames(data, refs[:0])
-		n, aerr := state.applyRefs(refs)
-		if errors.Is(aerr, errWALLegacy) {
-			return nil, layout, fmt.Errorf("wal: refusing segment %s at offset %d: %w", path, refs[n].off, aerr)
-		}
-		if aerr != nil {
-			// A record that scans but does not decode ends the trusted
-			// prefix at its own frame, before wherever the scan stopped.
-			valid, rerr = refs[n].off, aerr
+		n, valid, rerr := state.replayFile(data)
+		if errors.Is(rerr, errWALLegacy) {
+			return nil, layout, fmt.Errorf("wal: refusing segment %s at offset %d: %w", path, valid, rerr)
 		}
 		layout.segs = append(layout.segs, seg)
 		before := replayed
