@@ -18,7 +18,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # campaigns (e.g. make fuzz-smoke FUZZTIME=5m).
 FUZZTIME ?= 10s
 
-.PHONY: all build test lint vet fmt-check fmt bench bench-e2e bench-wal bench-check staticcheck opdaemonlint vuln fuzz-smoke loc
+.PHONY: all build test wal-stress lint vet fmt-check fmt bench bench-e2e bench-wal bench-check staticcheck opdaemonlint vuln fuzz-smoke loc
 
 all: build lint fmt-check test
 
@@ -30,6 +30,12 @@ build:
 # failure log prints the seed for reproduction.
 test:
 	$(GO) test -race -shuffle=on ./...
+
+# Repeats the WAL, flush and recovery tests under the race detector:
+# the committer cycles once per fsync, so ticket/flush/rotate
+# interleavings vary run to run and one pass samples only a few.
+wal-stress:
+	$(GO) test -race -count=20 -run 'WAL|Flush|Recover' ./internal/engine/
 
 # lint is the single aggregate gate: vet for the compiler-adjacent
 # checks, staticcheck for general Go correctness, opdaemonlint for the

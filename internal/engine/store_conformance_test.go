@@ -21,8 +21,7 @@ import (
 // in-memory stores plus the durable WAL store, which must satisfy the
 // identical contract (its read path IS the sharded store; the log is
 // invisible to the interface). The WAL variants get a per-test
-// directory and a Close at cleanup; the group variant runs with a tiny
-// window so durability waits don't dominate the suite's runtime.
+// directory and a Close at cleanup.
 func storeImpls(t testing.TB) []struct {
 	name string
 	mk   func(t testing.TB) Store
@@ -30,9 +29,8 @@ func storeImpls(t testing.TB) []struct {
 	mkWAL := func(sync WALSyncMode) func(t testing.TB) Store {
 		return func(t testing.TB) Store {
 			s, err := OpenWALStore(WALConfig{
-				Dir:         t.TempDir(),
-				Sync:        sync,
-				GroupWindow: 500 * time.Microsecond,
+				Dir:  t.TempDir(),
+				Sync: sync,
 			})
 			if err != nil {
 				t.Fatalf("OpenWALStore: %v", err)

@@ -14,6 +14,11 @@ package engine
 // ticket (walGen), which the committer resolves once the fsync lands;
 // one disk flush is amortised across every writer that boarded the
 // batch.
+//
+// Batching is paced by fsync latency alone: the committer commits
+// whatever is staged the moment it wakes, and writers that arrive
+// while one fsync is in flight board the next batch. A lone writer
+// pays one fsync; a busy fleet fills batches by itself.
 
 import (
 	"bufio"
@@ -38,11 +43,12 @@ const (
 	// puts, updates, deletes — wait for its commit ticket. Maximum
 	// durability, one fsync round-trip on every write path.
 	WALSyncAlways WALSyncMode = "always"
-	// WALSyncGroup (the default) accumulates records for the group
-	// window, then writes and fsyncs them as one batch. Admissions
-	// (Put/PutBatch) wait for durability; transitions (Update/Delete)
-	// are logged asynchronously — recovery semantics make the loss
-	// window principled (see docs/persistence.md).
+	// WALSyncGroup (the default) writes and fsyncs every record
+	// staged since the previous commit as one batch; records staged
+	// during an fsync board the next one. Admissions (Put/PutBatch)
+	// wait for durability; transitions (Update/Delete) are logged
+	// asynchronously — recovery semantics make the loss window
+	// principled (see docs/persistence.md).
 	WALSyncGroup WALSyncMode = "group"
 	// WALSyncNone never fsyncs and nobody waits; durability is
 	// whatever the OS page cache survives. For tests and benchmarks.
@@ -57,14 +63,6 @@ func (m WALSyncMode) Valid() bool {
 	}
 	return false
 }
-
-// walGroupEagerRecords is the staged-record count at which the group
-// committer skips the accumulation window and commits immediately: a
-// batch this size already amortises its fsync well, so the window
-// would only add latency. The window earns its keep at low and
-// moderate concurrency, where it turns a trickle of lone writers into
-// one shared fsync.
-const walGroupEagerRecords = 96
 
 // walGen is one commit generation's ticket: every writer that appended
 // into the generation's batch shares it. done closes after the batch's
@@ -160,7 +158,6 @@ type WALStats struct {
 type wal struct {
 	dir      string
 	mode     WALSyncMode
-	window   time.Duration
 	segBytes int64
 	maxSegs  int
 	clock    func() time.Time
@@ -222,7 +219,6 @@ func newWAL(cfg WALConfig, layout walLayout) (*wal, error) {
 	w := &wal{
 		dir:      cfg.Dir,
 		mode:     cfg.Sync,
-		window:   cfg.GroupWindow,
 		segBytes: cfg.SegmentBytes,
 		maxSegs:  cfg.MaxSegments,
 		clock:    cfg.Clock,
@@ -318,16 +314,6 @@ func (w *wal) waitCommit(g *walGen) {
 	<-g.done
 }
 
-// stagedRecords reads the current batch size, for the committer's
-// skip-the-window decision.
-func (w *wal) stagedRecords() int {
-	b := &w.batch
-	b.mu.Lock()
-	n := b.n
-	b.mu.Unlock()
-	return n
-}
-
 // flush forces a commit of everything staged so far and waits for it,
 // returning the commit's write/fsync outcome. With nothing new staged
 // it waits on the last detached generation, which the committer may
@@ -372,10 +358,9 @@ func (w *wal) abort() {
 }
 
 // committer is the single goroutine that turns staged batches into
-// write+fsync calls. Waking on a kick, it rides out the accumulation
-// window (group mode only) so concurrent writers can board the batch,
-// then commits whatever accumulated: that one fsync resolves every
-// boarded ticket.
+// write+fsync calls. Waking on a kick, it commits whatever is staged
+// at once: that one fsync resolves every boarded ticket, and writers
+// that arrive while it runs leave a kick behind for the next batch.
 func (w *wal) committer() {
 	defer close(w.done)
 	for {
@@ -387,37 +372,8 @@ func (w *wal) committer() {
 			return
 		case <-w.kick:
 		}
-		if w.mode == WALSyncGroup && w.window > 0 {
-			w.accumulate()
-		}
 		w.commit()
 		w.maybeCompact()
-	}
-}
-
-// accumulate is the group window: admission latency traded for batch
-// size. The kick that woke the committer fires on the FIRST record
-// staged after the previous commit, so the batch is nearly always tiny
-// at wake time and sleeping the full window blind would tax every
-// cycle with the window even under load heavy enough to fill a batch
-// in a fraction of it. Instead the committer keeps consuming kicks —
-// enqueue sends one per append — and leaves as soon as the batch
-// reaches walGroupEagerRecords, falling back to the window expiry when
-// writers trickle in too slowly to ever fill one. Lone writers still
-// pay the full window; a saturating fleet commits the moment the fsync
-// is worth its price.
-func (w *wal) accumulate() {
-	// Poll in a few slices rather than waking per kick: at tens of
-	// thousands of enqueues per second a kick-driven wait would context
-	// switch the committer on every append, which costs more than the
-	// fsync it is trying to amortise. Four checks per window bound the
-	// early-exit error at a quarter window.
-	const slices = 4
-	for i := 0; i < slices; i++ {
-		if w.stagedRecords() >= walGroupEagerRecords {
-			return
-		}
-		time.Sleep(w.window / slices)
 	}
 }
 
@@ -440,9 +396,10 @@ func (w *wal) commit() {
 
 	err := w.writeAndSync(buf)
 	w.spare = buf[:0]
+	// Counted before the ticket resolves, so a waiter sees its commit.
+	w.stats.recordBatch(n)
 	gen.err = err
 	close(gen.done)
-	w.stats.recordBatch(n)
 	if err != nil {
 		// The Store interface has no write-error channel, so this log
 		// line is the operator's signal that durability is degraded;

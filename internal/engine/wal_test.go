@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -184,7 +185,7 @@ func TestWALStoreRecoversCorruptMiddle(t *testing.T) {
 func TestWALStoreFlushBarrier(t *testing.T) {
 	dir := t.TempDir()
 	t0 := time.Unix(1000, 0)
-	s := openWAL(t, dir, WALConfig{Sync: WALSyncGroup, GroupWindow: time.Millisecond})
+	s := openWAL(t, dir, WALConfig{Sync: WALSyncGroup})
 	s.Put(mkOp("a", t0))
 	if err := s.Update("a", func(op *core.Operation) {
 		op.Status = core.StatusDone
@@ -208,6 +209,20 @@ func TestWALStoreFlushBarrier(t *testing.T) {
 	}
 }
 
+// waitDetached polls until the committer has detached the batch whose
+// ticket is g, reporting false after 5s.
+func waitDetached(w *wal, g *walGen) bool {
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		w.batch.mu.Lock()
+		detached := w.batch.gen != g
+		w.batch.mu.Unlock()
+		if detached {
+			return true
+		}
+	}
+	return false
+}
+
 // TestWALStoreFlushWaitsForDetachedBatch: Flush is a barrier even when
 // the committer has already detached the batch holding the caller's
 // record and is still writing it. Under a 1-byte segment bound every
@@ -222,17 +237,9 @@ func TestWALStoreFlushWaitsForDetachedBatch(t *testing.T) {
 	w.segMu.Lock()
 	rec := appendDeleteRecord(nil, "a")
 	g := w.enqueue(&rec, 1)
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		w.batch.mu.Lock()
-		detached := w.batch.gen != g
-		w.batch.mu.Unlock()
-		if detached {
-			break
-		}
-		if time.Now().After(deadline) {
-			w.segMu.Unlock()
-			t.Fatal("committer never detached the staged batch")
-		}
+	if !waitDetached(w, g) {
+		w.segMu.Unlock()
+		t.Fatal("committer never detached the staged batch")
 	}
 
 	committed := make(chan bool, 1)
@@ -257,6 +264,82 @@ func TestWALStoreFlushWaitsForDetachedBatch(t *testing.T) {
 	}
 	if !ok {
 		t.Error("Flush returned before the detached batch was committed")
+	}
+}
+
+// TestWALGroupLoneWriterDoesNotWaitForWindow: group commit is paced by
+// fsync latency, so a lone writer's Put returns after one commit — the
+// deprecated GroupWindow setting, here a minute, is ignored.
+func TestWALGroupLoneWriterDoesNotWaitForWindow(t *testing.T) {
+	s := openWAL(t, t.TempDir(), WALConfig{Sync: WALSyncGroup, GroupWindow: time.Minute})
+	defer s.Close()
+	done := make(chan struct{})
+	go func() {
+		s.Put(mkOp("a", time.Unix(1000, 0)))
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("group-mode Put still waiting after 5s: the committer is sleeping out a window")
+	}
+}
+
+// TestWALGroupCommitAmortisesConcurrentWriters: batching comes from
+// writers that board while a commit is in flight. Holding segMu keeps
+// commit #1 detached but unresolved (the 1-byte segment bound makes it
+// rotate), so every writer enqueued meanwhile must board one batch
+// that the next commit writes whole.
+func TestWALGroupCommitAmortisesConcurrentWriters(t *testing.T) {
+	const writers = 16
+	s := openWAL(t, t.TempDir(), WALConfig{Sync: WALSyncGroup, SegmentBytes: 1})
+	defer s.Close()
+	w := s.log
+
+	w.segMu.Lock()
+	unlock := sync.OnceFunc(w.segMu.Unlock)
+	defer unlock()
+	first := appendDeleteRecord(nil, "first")
+	g0 := w.enqueue(&first, 1)
+	if !waitDetached(w, g0) {
+		t.Fatal("committer never detached the first batch")
+	}
+
+	tickets := make([]*walGen, writers)
+	var wg sync.WaitGroup
+	for i := range tickets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rec := appendDeleteRecord(nil, fmt.Sprintf("op-%02d", i))
+			tickets[i] = w.enqueue(&rec, 1)
+		}()
+	}
+	wg.Wait()
+	g := tickets[0]
+	if g == nil || g == g0 {
+		t.Fatalf("writer ticket = %p, want a fresh generation (first batch %p)", g, g0)
+	}
+	for i, ti := range tickets {
+		if ti != g {
+			t.Errorf("writer %d ticket = %p, want the shared %p", i, ti, g)
+		}
+	}
+
+	unlock()
+	select {
+	case <-g.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("shared ticket never resolved after the first commit was released")
+	}
+	if g.err != nil {
+		t.Errorf("shared commit error: %v", g.err)
+	}
+	w.stats.mu.Lock()
+	sizes := append([]int(nil), w.stats.sizes[:w.stats.count]...)
+	w.stats.mu.Unlock()
+	if len(sizes) != 2 || sizes[0] != 1 || sizes[1] != writers {
+		t.Errorf("recorded batch sizes = %v, want [1 %d]", sizes, writers)
 	}
 }
 

@@ -32,10 +32,7 @@ type WALConfig struct {
 	Dir string
 	// Sync is the fsync policy (default WALSyncGroup).
 	Sync WALSyncMode
-	// GroupWindow is how long the committer accumulates a batch before
-	// committing it under WALSyncGroup (default 2ms). Larger windows
-	// buy bigger batches (fewer fsyncs) at the cost of admission
-	// latency.
+	// Deprecated: ignored; group commit is paced by fsync latency. Kept until perfbench stops setting it.
 	GroupWindow time.Duration
 	// SegmentBytes rotates the open segment once it exceeds this size
 	// (default 16 MiB).
@@ -54,9 +51,6 @@ type WALConfig struct {
 func (cfg WALConfig) withDefaults() WALConfig {
 	if cfg.Sync == "" {
 		cfg.Sync = WALSyncGroup
-	}
-	if cfg.GroupWindow <= 0 {
-		cfg.GroupWindow = 2 * time.Millisecond
 	}
 	if cfg.SegmentBytes <= 0 {
 		cfg.SegmentBytes = 16 << 20
