@@ -93,13 +93,15 @@ loc:
 
 # Short coverage-guided fuzz runs over the untrusted-input parsers:
 # the cursor values clients control, and the WAL replay path that
-# must survive arbitrary on-disk bytes after a crash. One `go test
+# must survive arbitrary on-disk bytes after a crash; plus the reply
+# encoder, which must match encoding/json byte for byte. One `go test
 # -fuzz` invocation accepts a single target, hence one line per
 # fuzzer; seed corpora alone also run as normal tests under `make
 # test`.
 fuzz-smoke:
 	$(GO) test -fuzz '^FuzzNoticesCursor$$' -fuzztime=$(FUZZTIME) -run '^Fuzz' ./internal/api/
 	$(GO) test -fuzz '^FuzzListQueryCursor$$' -fuzztime=$(FUZZTIME) -run '^Fuzz' ./internal/api/
+	$(GO) test -fuzz '^FuzzEnvelopeEncoding$$' -fuzztime=$(FUZZTIME) -run '^Fuzz' ./internal/api/
 	$(GO) test -fuzz '^FuzzWALReplay$$' -fuzztime=$(FUZZTIME) -run '^Fuzz' ./internal/engine/
 	$(GO) test -fuzz '^FuzzWALCodecBinary$$' -fuzztime=$(FUZZTIME) -run '^Fuzz' ./internal/engine/
 

@@ -30,8 +30,9 @@
 //     functions, directly or through same-package callees — a disk
 //     write (worse, an fsync) under a policed lock serialises every
 //     operation on the shard behind a millisecond-scale syscall;
-//   - record encoding — json.Marshal/Unmarshal and the WAL codec
-//     entry points (frame builders, the operation binary codec),
+//   - record encoding — json.Marshal/Unmarshal, the WAL codec
+//     entry points (frame builders, the operation binary codec) and
+//     the operation JSON appenders,
 //     directly or through same-package callees. The WAL write path's
 //     contract is encode-outside-the-lock: records are serialised
 //     into a prepared buffer before acquisition, and the critical
@@ -119,11 +120,12 @@ var jsonCodecNames = map[string]bool{
 	"Marshal": true, "MarshalIndent": true, "Unmarshal": true,
 }
 
-// codecFuncNames are the WAL codec entry points — the engine's frame
-// builders/record encoders and core's operation binary codec. Matched
-// by name across the module's own packages (stdlib and vendored code
-// excluded by the json/os checks having their own lists), so the rule
-// survives the codec living in either package.
+// codecFuncNames are the codec entry points — the engine's WAL frame
+// builders/record encoders, core's operation binary codec and core's
+// JSON reply appenders. Matched by name across the module's own
+// packages (stdlib and vendored code excluded by the json/os checks
+// having their own lists), so the rule survives the codec living in
+// either package.
 var codecFuncNames = map[string]bool{
 	// engine frame builders and record encoders.
 	"appendWALFrame": true, "reserveWALFrame": true, "finishWALFrame": true,
@@ -132,6 +134,9 @@ var codecFuncNames = map[string]bool{
 	// core.Operation binary codec.
 	"AppendBinary": true, "AppendBinaryDelta": true,
 	"DecodeBinaryOperation": true, "DecodeBinaryDelta": true,
+	// core's API reply appenders (Operation.AppendJSON and the JSON
+	// string appender).
+	"AppendJSON": true, "AppendJSONString": true,
 }
 
 // codecPkgNames are the packages whose functions the codec name list

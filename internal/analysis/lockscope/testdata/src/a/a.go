@@ -383,6 +383,38 @@ func encodeThenStage(sh *storeShard, b *walBatch, v int) {
 	sh.mu.Unlock()
 }
 
+// operation mirrors core.Operation's reply encoder: the names
+// AppendJSON and AppendJSONString are what make calls to them codec
+// calls, so an API reply is never encoded under a policed lock.
+type operation struct{ id string }
+
+func (o *operation) AppendJSON(dst []byte) ([]byte, error) {
+	return append(dst, o.id...), nil
+}
+
+// AppendJSONString mirrors core's JSON string appender.
+func AppendJSONString(dst []byte, s string) []byte {
+	return append(dst, s...)
+}
+
+// replyUnderShardLock encodes a reply while holding the shard lock.
+func replyUnderShardLock(sh *storeShard, o *operation) []byte {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	b, _ := o.AppendJSON(nil)       // want `AppendJSON inside the sh\.mu critical section encodes a record under a policed lock`
+	return AppendJSONString(b, "x") // want `AppendJSONString inside the sh\.mu critical section encodes a record under a policed lock`
+}
+
+// replyAfterUnlock is the sanctioned shape: copy the snapshot pointer
+// under the lock, encode after release.
+func replyAfterUnlock(sh *storeShard, o *operation) []byte {
+	sh.mu.RLock()
+	cur := o
+	sh.mu.RUnlock()
+	b, _ := cur.AppendJSON(nil)
+	return b
+}
+
 // unpolicedMutex guards a type outside the policed set; lockscope does
 // not constrain it.
 type unpoliced struct {

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"log"
 	"net/http"
+	"strconv"
+	"sync"
 
 	"opdaemon/internal/core"
 )
@@ -26,13 +28,22 @@ const (
 	typeError = "error"
 )
 
-// writeJSON marshals the envelope and replies with it plus any extra
-// headers. Headers are only applied after a successful marshal so the
+// maxPooledReply bounds the reply buffers kept for reuse, so one large
+// unbounded listing does not stay pinned in the pool.
+const maxPooledReply = 64 << 10
+
+// replyBufs recycles reply buffers across requests.
+var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeJSON encodes the envelope and replies with it plus any extra
+// headers. Headers are only applied after a successful encode so the
 // fallback error response doesn't carry headers describing the reply
 // that failed (e.g. a Location for an async result).
 func writeJSON(w http.ResponseWriter, code int, resp *Response, headers map[string]string) {
-	body, err := json.Marshal(resp)
+	buf := replyBufs.Get().(*[]byte)
+	body, err := appendResponse((*buf)[:0], resp)
 	if err != nil {
+		replyBufs.Put(buf)
 		// A handler produced a result json cannot represent; keep
 		// the envelope contract with a 500 error instead of sending
 		// a success header with an empty body. Error envelopes only
@@ -41,14 +52,126 @@ func writeJSON(w http.ResponseWriter, code int, resp *Response, headers map[stri
 		writeError(w, http.StatusInternalServerError, "response not serializable")
 		return
 	}
+	body = append(body, '\n')
 	for k, v := range headers {
 		w.Header().Set(k, v)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	if _, err := w.Write(append(body, '\n')); err != nil {
+	if _, err := w.Write(body); err != nil {
 		log.Printf("api: writing response: %v", err)
 	}
+	if cap(body) <= maxPooledReply {
+		*buf = body
+		replyBufs.Put(buf)
+	}
+}
+
+// appendResponse appends the envelope's JSON encoding — byte for byte
+// what json.Marshal(resp) returns, which FuzzEnvelopeEncoding pins —
+// to dst. Operation results and the api's own envelope payloads are
+// encoded by appenders; any other result (health, notices) is left to
+// encoding/json.
+func appendResponse(dst []byte, resp *Response) ([]byte, error) {
+	dst = appendEnvelopeHead(dst, resp.Type, resp.Status, resp.StatusCode)
+	dst = append(dst, `,"result":`...)
+	var err error
+	switch r := resp.Result.(type) {
+	case *core.Operation:
+		dst, err = r.AppendJSON(dst)
+	case []*core.Operation:
+		dst, err = appendOps(dst, r)
+	case []batchItemEnvelope:
+		dst, err = appendBatchItems(dst, r)
+	case errorResult:
+		dst = append(dst, `{"message":`...)
+		dst = core.AppendJSONString(dst, r.Message)
+		dst = append(dst, '}')
+	case batchErrorResult:
+		dst = appendBatchError(dst, r)
+	default:
+		var b []byte
+		if b, err = json.Marshal(r); err == nil {
+			dst = append(dst, b...)
+		}
+	}
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, '}'), nil
+}
+
+// appendEnvelopeHead appends the fields every envelope shape opens
+// with, leaving the object open.
+func appendEnvelopeHead(dst []byte, typ, status string, code int) []byte {
+	dst = append(dst, `{"type":`...)
+	dst = core.AppendJSONString(dst, typ)
+	dst = append(dst, `,"status":`...)
+	dst = core.AppendJSONString(dst, status)
+	dst = append(dst, `,"status_code":`...)
+	return strconv.AppendInt(dst, int64(code), 10)
+}
+
+func appendOps(dst []byte, ops []*core.Operation) ([]byte, error) {
+	if ops == nil {
+		return append(dst, "null"...), nil
+	}
+	dst = append(dst, '[')
+	for i, op := range ops {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var err error
+		if dst, err = op.AppendJSON(dst); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, ']'), nil
+}
+
+func appendBatchItems(dst []byte, items []batchItemEnvelope) ([]byte, error) {
+	if items == nil {
+		return append(dst, "null"...), nil
+	}
+	dst = append(dst, '[')
+	for i, it := range items {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendEnvelopeHead(dst, it.Type, it.Status, it.StatusCode)
+		dst = append(dst, `,"location":`...)
+		dst = core.AppendJSONString(dst, it.Location)
+		dst = append(dst, `,"result":`...)
+		var err error
+		if dst, err = it.Result.AppendJSON(dst); err != nil {
+			return dst, err
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, ']'), nil
+}
+
+func appendBatchError(dst []byte, r batchErrorResult) []byte {
+	dst = append(dst, `{"message":`...)
+	dst = core.AppendJSONString(dst, r.Message)
+	dst = append(dst, `,"items":`...)
+	if r.Items == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, it := range r.Items {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"index":`...)
+			dst = strconv.AppendInt(dst, int64(it.Index), 10)
+			dst = append(dst, `,"message":`...)
+			dst = core.AppendJSONString(dst, it.Message)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, '}')
 }
 
 // writeSync replies with a 200-style synchronous result envelope.

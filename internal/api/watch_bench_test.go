@@ -60,10 +60,16 @@ func BenchmarkAPIGetWaitTerminal(b *testing.B) {
 			st := bs.mk()
 			ops := seedStore(st, 10_000)
 			s, _ := newBenchServer(b, st)
+			paths := make([]string, len(ops))
+			for i, op := range ops {
+				paths[i] = "/v1/operations/" + op.ID
+			}
+			req := newBenchRequest(s, "GET", paths[0]+"?wait=true&timeout=5s", "")
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				w := serve(s, "GET", "/v1/operations/"+ops[i%len(ops)].ID+"?wait=true&timeout=5s", "")
+				req.r.URL.Path = paths[i%len(paths)]
+				w := req.serve()
 				if w.Code != http.StatusOK {
 					b.Fatalf("wait get returned %d", w.Code)
 				}
@@ -123,10 +129,11 @@ func BenchmarkAPINotices(b *testing.B) {
 			for e.Stats().LastNotice < 600 {
 				time.Sleep(time.Millisecond)
 			}
+			req := newBenchRequest(s, "GET", "/v1/notices?limit=50", "")
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				w := serve(s, "GET", "/v1/notices?limit=50", "")
+				w := req.serve()
 				if w.Code != http.StatusOK {
 					b.Fatalf("notices returned %d", w.Code)
 				}

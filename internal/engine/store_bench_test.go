@@ -13,7 +13,9 @@ package engine
 // The read-path criteria to watch: BenchmarkStoreGet must report
 // 0 allocs/op (copy-on-write snapshots hand out shared pointers), and
 // BenchmarkStoreList/limit=50 must report the same allocs/op at every
-// store size (the ordered index makes a page O(limit), not O(n)).
+// store size (the ordered index makes a page O(limit), not O(n)), and
+// BenchmarkStoreListFiltered the same B/op (a filtered page copies
+// chunks sized by what it scans).
 
 import (
 	"fmt"
@@ -309,6 +311,39 @@ func BenchmarkStoreList(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					page, err := s.List(ListQuery{Limit: limit})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if len(page) != limit {
+						b.Fatalf("List returned %d ops, want %d", len(page), limit)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkStoreListFiltered measures a status-filtered poll page —
+// status=failed, limit=50 — with one op in seven failed. The filter
+// scans the index past non-matching entries, copying it in chunks
+// sized by the page, so B/op must match between the 1k and 10k rows:
+// a page costs what it scans, not what the store holds. Both sizes
+// share their newest 1000 operations, so the page scans the same
+// entries in the same shards and the rows compare exactly; the 10k
+// store only adds older history the page never reaches.
+func BenchmarkStoreListFiltered(b *testing.B) {
+	const limit, shared = 50, 1_000
+	for _, impl := range benchImpls() {
+		newest := statusOps(time.Unix(1000, 0).Add(10*time.Second), shared, 7)
+		for _, size := range []int{1_000, 10_000} {
+			b.Run(fmt.Sprintf("%s/limit=%d/size=%d", impl.name, limit, size), func(b *testing.B) {
+				s := impl.mk()
+				s.PutBatch(statusOps(time.Unix(1000, 0), size-shared, 7))
+				s.PutBatch(newest)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					page, err := s.List(ListQuery{Status: core.StatusFailed, Limit: limit})
 					if err != nil {
 						b.Fatal(err)
 					}

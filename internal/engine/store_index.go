@@ -161,65 +161,128 @@ func (sh *storeShard) len() int {
 	return len(sh.ops)
 }
 
-// listCursor is one shard's position in a List merge: the shard's
-// index slice and the next position to emit, walking downwards (the
-// slice is oldest-first, so downwards is newest-first).
+// listChunkMax caps the chunk a filtered or unbounded List copies from
+// one shard per lock hold, so the hold stays O(listChunkMax) however
+// large the shard grows.
+const listChunkMax = 4096
+
+// listCursor is one shard's position in a List merge: a window of the
+// shard's index (oldest-first) and the next position to emit, walking
+// downwards (so downwards is newest-first). Under the all-shards read
+// lock the window is the live index itself. Otherwise it is a chunk
+// copied under the shard's own lock, and sh is set while older entries
+// remain below it.
 type listCursor struct {
 	ops []*core.Operation
 	pos int
+	// sh is the shard the next chunk is copied from; nil once the
+	// window reaches the shard's oldest entry.
+	sh *storeShard
+	// next is the size of the next chunk to copy.
+	next int
 }
 
 func (c *listCursor) current() *core.Operation { return c.ops[c.pos] }
 
-// collectNewest merges the cursors newest-first and returns the page
-// selected by q (status filter, limit). Cursor resolution — turning
-// q.Cursor into per-shard start positions — is the caller's job, since
-// it needs the shard locks; collectNewest only walks. The caller must
-// hold (at least) read locks on every contributing shard for the
-// duration of the call; the returned page is built of shared immutable
-// pointers, so it stays valid after the locks are released.
+// fillLocked copies the chunk of sh's index that ends just below
+// position end: up to c.next entries, reusing the cursor's buffer. Each
+// fill doubles the next chunk, up to listChunkMax, so a scan that
+// keeps going takes O(log) lock holds to reach full-size chunks.
+// Callers hold at least sh's read lock.
+func (c *listCursor) fillLocked(sh *storeShard, end int) {
+	n := min(c.next, end)
+	c.ops = append(c.ops[:0], sh.ix.ops[end-n:end]...)
+	c.pos = n - 1
+	c.sh = sh
+	if n == end {
+		c.sh = nil
+	}
+	c.next = min(2*c.next, listChunkMax)
+}
+
+// refill replaces a walked-off chunk with the next older one. Writers
+// may have shifted the index since the last copy, so the chunk's
+// oldest entry is found again by its (CreatedAt, ID) key, and only
+// entries strictly older than it are copied: the cursor's sequence
+// stays strictly newest-first whatever was inserted in between.
+func (c *listCursor) refill() {
+	sh, oldest := c.sh, c.ops[0]
+	sh.mu.RLock()
+	c.fillLocked(sh, sh.ix.search(oldest.CreatedAt, oldest.ID))
+	sh.mu.RUnlock()
+}
+
+// listMerge k-way-merges shard cursors newest-first into the page a
+// ListQuery selects (status filter, limit). It never takes a lock:
+// cursor resolution and chunk refills are the caller's job, since they
+// need the shard locks. The page is built of shared immutable
+// pointers, so it stays valid after any locks are released.
 //
 // Cost: O(len(cursors)) to seed the heap plus O(scanned · log shards)
-// to emit, where scanned == limit when no status filter is set. The
-// only allocations are the output slice and the heap.
-func collectNewest(cursors []listCursor, q ListQuery) []*core.Operation {
-	// Drop exhausted shards, then heapify by newest-first current op.
+// to emit, where scanned == limit when no status filter is set.
+type listMerge struct {
+	h   []listCursor
+	q   ListQuery
+	out []*core.Operation
+}
+
+// newListMerge heapifies the non-empty cursors. candidates bounds the
+// number of entries the walk can see, sizing an unfiltered page when
+// no limit does.
+func newListMerge(cursors []listCursor, q ListQuery, candidates int) listMerge {
 	h := cursors[:0]
-	total := 0
 	for _, c := range cursors {
 		if c.pos >= 0 {
 			h = append(h, c)
-			total += c.pos + 1
 		}
 	}
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		siftDown(h, i)
 	}
-
-	capHint := total
-	if q.Limit > 0 && q.Limit < capHint {
-		capHint = q.Limit
+	capHint := candidates
+	switch {
+	case q.Limit > 0:
+		capHint = min(capHint, q.Limit)
+	case q.Status != "":
+		// An unbounded filtered page may keep a small share of the
+		// candidates: it grows as it fills instead of being sized to
+		// the whole store.
+		capHint = 0
 	}
 	// Non-nil even when empty so the API layer marshals [] not null.
-	out := make([]*core.Operation, 0, capHint)
-	for len(h) > 0 {
-		op := h[0].current()
-		if q.Status == "" || op.Status == q.Status {
-			out = append(out, op)
-			if q.Limit > 0 && len(out) == q.Limit {
-				return out
+	return listMerge{h: h, q: q, out: make([]*core.Operation, 0, capHint)}
+}
+
+// run emits into m.out until the page is complete, and returns nil.
+// It stops early only at a cursor that has walked off a copied chunk
+// while its shard holds older entries, and returns that cursor: the
+// caller refills it and calls run again, which resumes the merge.
+func (m *listMerge) run() *listCursor {
+	for len(m.h) > 0 {
+		top := &m.h[0]
+		if top.pos < 0 {
+			if top.sh != nil {
+				return top
+			}
+			last := len(m.h) - 1
+			m.h[0] = m.h[last]
+			m.h = m.h[:last]
+			continue
+		}
+		// The top moved down (emitted, refilled or replaced) since the
+		// heap was last ordered; every other cursor is in place.
+		siftDown(m.h, 0)
+		top = &m.h[0]
+		op := top.current()
+		if m.q.Status == "" || op.Status == m.q.Status {
+			m.out = append(m.out, op)
+			if m.q.Limit > 0 && len(m.out) == m.q.Limit {
+				return nil
 			}
 		}
-		h[0].pos--
-		if h[0].pos < 0 {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		if len(h) > 0 {
-			siftDown(h, 0)
-		}
+		top.pos--
 	}
-	return out
+	return nil
 }
 
 // siftDown restores the heap property at i for a heap ordered by

@@ -237,16 +237,20 @@ func (s *shardedStore) Get(id string) (*core.Operation, error) {
 //     the one-at-a-time sweep — for a critical section that is
 //     O(shards + limit·log shards) by construction: short no matter
 //     how large the store is, and free of per-element copies.
-//   - Unbounded or status-filtered queries can scan O(n), so instead
-//     of stalling every writer store-wide for the whole merge they
-//     snapshot each shard's candidate range under that shard's lock
-//     alone (a pointer copy — published snapshots are immutable) and
-//     merge lock-free, restoring the one-shard-at-a-time write
-//     availability the pre-index implementation had.
+//   - Unbounded or status-filtered queries may scan far more entries
+//     than they return, so they never hold more than one shard lock.
+//     Each shard's walk copies a bounded chunk of its index under that
+//     shard's read lock alone (a pointer copy — published snapshots are
+//     immutable): the first chunk holds limit entries, each refill
+//     doubles it up to listChunkMax, and a refill finds its place again
+//     by the last copied (CreatedAt, ID) key. A page therefore costs
+//     O(scanned), not O(store), and every lock hold is O(listChunkMax),
+//     keeping the one-shard-at-a-time write availability.
 //
 // Either way List is not a cross-shard point-in-time snapshot (an op
 // stored concurrently may or may not appear), matching the interface
-// contract which only promises per-op snapshot consistency.
+// contract which only promises per-op snapshot consistency; each page
+// is still strictly newest-first.
 func (s *shardedStore) List(q ListQuery) ([]*core.Operation, error) {
 	// Resolve the cursor up front via its shard's own lock: an
 	// unknown cursor is an empty page, and a known one contributes
@@ -261,6 +265,8 @@ func (s *shardedStore) List(q ListQuery) ([]*core.Operation, error) {
 		key = op
 	}
 
+	cursors := make([]listCursor, len(s.shards))
+	candidates := 0
 	if q.Limit > 0 && q.Status == "" {
 		for _, sh := range s.shards {
 			sh.mu.RLock()
@@ -270,26 +276,34 @@ func (s *shardedStore) List(q ListQuery) ([]*core.Operation, error) {
 				sh.mu.RUnlock()
 			}
 		}()
-		cursors := make([]listCursor, len(s.shards))
 		for i, sh := range s.shards {
-			cursors[i] = listCursor{ops: sh.ix.ops, pos: startPosFor(sh, key)}
+			pos := startPosFor(sh, key)
+			cursors[i] = listCursor{ops: sh.ix.ops, pos: pos}
+			candidates += pos + 1
 		}
-		return collectNewest(cursors, q), nil
+		m := newListMerge(cursors, q, candidates)
+		m.run() // live-index windows never need a refill
+		return m.out, nil
 	}
 
-	cursors := make([]listCursor, len(s.shards))
-	for i, sh := range s.shards {
-		sh.mu.RLock()
-		pos := startPosFor(sh, key)
-		var snap []*core.Operation
-		if pos >= 0 {
-			snap = make([]*core.Operation, pos+1)
-			copy(snap, sh.ix.ops[:pos+1])
-		}
-		sh.mu.RUnlock()
-		cursors[i] = listCursor{ops: snap, pos: pos}
+	first := listChunkMax
+	if q.Limit > 0 && q.Limit < first {
+		first = q.Limit
 	}
-	return collectNewest(cursors, q), nil
+	for i, sh := range s.shards {
+		c := &cursors[i]
+		c.next = first
+		sh.mu.RLock()
+		end := startPosFor(sh, key) + 1
+		c.fillLocked(sh, end)
+		sh.mu.RUnlock()
+		candidates += end
+	}
+	m := newListMerge(cursors, q, candidates)
+	for c := m.run(); c != nil; c = m.run() {
+		c.refill()
+	}
+	return m.out, nil
 }
 
 // startPosFor adapts storeShard.startPos to an optional cursor key.
