@@ -18,7 +18,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # campaigns (e.g. make fuzz-smoke FUZZTIME=5m).
 FUZZTIME ?= 10s
 
-.PHONY: all build test wal-stress lint vet fmt-check fmt bench bench-e2e bench-wal bench-check staticcheck opdaemonlint vuln fuzz-smoke loc
+.PHONY: all build test wal-stress lint vet fmt-check fmt bench bench-e2e bench-wal bench-check staticcheck opdaemonlint vuln fuzz-smoke loc docs-check
 
 all: build lint fmt-check test
 
@@ -90,6 +90,22 @@ bench-check:
 loc:
 	@find cmd internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' \
 		| xargs cat | grep -cvE '^[[:space:]]*(//|$$)'
+
+# Every relative Markdown link in README.md and docs/*.md must name a
+# file that exists, so deleting or renaming a file cannot leave a
+# dangling link behind. Web links and #anchors are not checked.
+docs-check:
+	@status=0; \
+	for f in README.md docs/*.md; do \
+		dir=$$(dirname "$$f"); \
+		for link in $$(grep -o '](\([^)]*\))' "$$f" | sed 's/^](//; s/)$$//; s/#.*//'); do \
+			case "$$link" in http://*|https://*|mailto:*) continue;; esac; \
+			if [ ! -e "$$dir/$$link" ]; then \
+				echo "$$f: broken link to $$link"; status=1; \
+			fi; \
+		done; \
+	done; \
+	exit $$status
 
 # Short coverage-guided fuzz runs over the untrusted-input parsers:
 # the cursor values clients control, and the WAL replay path that

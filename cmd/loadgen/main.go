@@ -1,8 +1,9 @@
 // Command loadgen drives an opdaemon instance hard and reports what it
 // measured: request and operation throughput, latency percentiles, and
-// a breakdown of response codes. It is the measurement half of every
-// performance change — run it against a daemon before and after, and
-// keep the numbers in the PR.
+// a breakdown of response codes. It is an ad-hoc load client, not the
+// project's benchmark: perfbench/ is the one harness whose figures
+// gate changes, and docs/performance.md names the in-process benchmark
+// that replaces each loadgen mode.
 //
 // Usage:
 //
@@ -29,16 +30,7 @@
 // plain GETs every -poll-interval (the classic poll-until-terminal
 // client); -observe watch replaces the loop with ?wait=true
 // long-polls. Run both against the same daemon to measure what the
-// watch path saves — that comparison is what BENCH_7.json records.
-//
-// With -clients N, workers identify themselves to the daemon via
-// X-Client-Id so the scheduler's per-client fair queueing applies, and
-// the report breaks latency down per client. -greedy-frac F marks that
-// fraction of workers as one shared "greedy" client that submits
-// without observing (fire-and-forget flood); the remaining workers are
-// the victims, spread across the other N-1 client IDs. The per-client
-// to-terminal percentiles of the victims against the greedy flood are
-// the fairness metric BENCH_8.json records.
+// watch path saves.
 //
 // 429 responses (the daemon shedding load at its admission threshold)
 // are counted separately from errors: the report shows the shed count
@@ -79,9 +71,6 @@ func main() {
 		observe     = flag.String("observe", "", "follow each accepted operation to its terminal state: 'poll' loops plain GETs at -poll-interval, 'watch' uses ?wait=true long-polls; empty disables")
 		pollInt     = flag.Duration("poll-interval", 25*time.Millisecond, "delay between GETs in -observe poll mode")
 		observeTO   = flag.Duration("observe-timeout", 30*time.Second, "max time to follow one operation to terminal (also sent as the long-poll timeout in watch mode)")
-		clients     = flag.Int("clients", 0, "number of distinct X-Client-Id values to spread workers across (0 sends no header)")
-		greedyFrac  = flag.Float64("greedy-frac", 0, "fraction (0..1) of workers assigned to one shared fire-and-forget 'greedy' client; requires -clients >= 2")
-		jsonPath    = flag.String("json", "", "also write the report as JSON to this path (schema in docs/loadgen.md), for the BENCH_*.json perf trajectory")
 	)
 	flag.Parse()
 
@@ -98,8 +87,6 @@ func main() {
 		observe:        *observe,
 		pollInterval:   *pollInt,
 		observeTimeout: *observeTO,
-		clients:        *clients,
-		greedyFrac:     *greedyFrac,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
@@ -107,12 +94,6 @@ func main() {
 	}
 	report := cfg.run(*seed)
 	fmt.Print(report.format(cfg))
-	if *jsonPath != "" {
-		if err := report.writeJSON(*jsonPath, cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: writing %s: %v\n", *jsonPath, err)
-			os.Exit(1)
-		}
-	}
 	// List and observe failures gate the exit status like transport
 	// errors do: a scripted bench run must not record a broken read
 	// path as green. Shed (429) responses do not: a daemon refusing
@@ -125,7 +106,7 @@ func main() {
 }
 
 // runFlags carries the raw flag values into newRunConfig; a struct so
-// call sites name what they set instead of threading 14 positionals.
+// call sites name what they set instead of threading 12 positionals.
 type runFlags struct {
 	addr           string
 	concurrency    int
@@ -139,8 +120,6 @@ type runFlags struct {
 	observe        string
 	pollInterval   time.Duration
 	observeTimeout time.Duration
-	clients        int
-	greedyFrac     float64
 }
 
 // runConfig is a validated loadgen run: where to send load, how much,
@@ -160,33 +139,6 @@ type runConfig struct {
 	observe        string
 	pollInterval   time.Duration
 	observeTimeout time.Duration
-	// clients is the number of distinct X-Client-Id values; 0 sends no
-	// header. greedyWorkers is how many workers (from index 0) share
-	// the "greedy" client, derived from -greedy-frac.
-	clients       int
-	greedyFrac    float64
-	greedyWorkers int
-}
-
-// greedyClient is the client ID shared by the fire-and-forget workers
-// of an adversarial mix.
-const greedyClient = "greedy"
-
-// clientFor assigns worker i its client ID: the first greedyWorkers
-// workers share the greedy client, the rest spread round-robin across
-// the remaining IDs c1..cK.
-func (cfg *runConfig) clientFor(i int) string {
-	if cfg.clients <= 0 {
-		return ""
-	}
-	if i < cfg.greedyWorkers {
-		return greedyClient
-	}
-	rest := cfg.clients
-	if cfg.greedyWorkers > 0 {
-		rest--
-	}
-	return "c" + strconv.Itoa((i-cfg.greedyWorkers)%rest+1)
 }
 
 // newRunConfig validates flags into a runConfig, rejecting values that
@@ -218,27 +170,6 @@ func newRunConfig(f runFlags) (*runConfig, error) {
 	if f.observe != "" && f.observeTimeout <= 0 {
 		return nil, fmt.Errorf("observe-timeout must be positive, got %s", f.observeTimeout)
 	}
-	if f.clients < 0 {
-		return nil, fmt.Errorf("clients must be >= 0, got %d", f.clients)
-	}
-	if f.greedyFrac < 0 || f.greedyFrac > 1 {
-		return nil, fmt.Errorf("greedy-frac must be within [0, 1], got %g", f.greedyFrac)
-	}
-	greedyWorkers := 0
-	if f.greedyFrac > 0 {
-		// A greedy mix needs at least one victim client to contrast
-		// against, and at least one worker on each side.
-		if f.clients < 2 {
-			return nil, fmt.Errorf("greedy-frac needs -clients >= 2, got %d", f.clients)
-		}
-		greedyWorkers = int(f.greedyFrac*float64(f.concurrency) + 0.5)
-		if greedyWorkers < 1 {
-			greedyWorkers = 1
-		}
-		if greedyWorkers >= f.concurrency {
-			return nil, fmt.Errorf("greedy-frac %g leaves no victim workers at concurrency %d", f.greedyFrac, f.concurrency)
-		}
-	}
 	mix, err := parseKindMix(f.kinds)
 	if err != nil {
 		return nil, err
@@ -262,9 +193,6 @@ func newRunConfig(f runFlags) (*runConfig, error) {
 		observe:        f.observe,
 		pollInterval:   f.pollInterval,
 		observeTimeout: f.observeTimeout,
-		clients:        f.clients,
-		greedyFrac:     f.greedyFrac,
-		greedyWorkers:  greedyWorkers,
 	}, nil
 }
 
@@ -341,9 +269,6 @@ type submitRequest struct {
 // workerStats accumulates one worker's measurements; workers never
 // share stats, so the hot loop takes no locks.
 type workerStats struct {
-	// client is the X-Client-Id this worker submits under ("" for
-	// none); fixed at spawn, so per-worker stats merge per-client.
-	client          string
 	latencies       []time.Duration
 	listLatencies   []time.Duration
 	requests        int64
@@ -366,17 +291,6 @@ type workerStats struct {
 	observeLatencies []time.Duration
 }
 
-// clientReport is one client's slice of the merged run: enough to
-// compute the per-client fairness percentiles the adversarial mixes
-// exist to measure.
-type clientReport struct {
-	requests         int64
-	accepted         int64
-	sheds            int64
-	latencies        []time.Duration
-	observeLatencies []time.Duration
-}
-
 // report is the merged result of a run.
 type report struct {
 	elapsed       time.Duration
@@ -393,7 +307,6 @@ type report struct {
 	// those responses carried, -1 binning a missing/unparsable header.
 	sheds            int64
 	retryAfter       map[int]int64
-	perClient        map[string]*clientReport
 	cancelRequested  int64
 	cancelled        int64
 	cancelConflicts  int64
@@ -436,7 +349,6 @@ func (cfg *runConfig) run(seed int64) *report {
 	for i := 0; i < cfg.concurrency; i++ {
 		wg.Add(1)
 		stats[i] = &workerStats{
-			client:     cfg.clientFor(i),
 			codes:      make(map[int]int64),
 			retryAfter: make(map[int]int64),
 		}
@@ -452,7 +364,6 @@ func (cfg *runConfig) run(seed int64) *report {
 		elapsed:    elapsed,
 		codes:      make(map[int]int64),
 		retryAfter: make(map[int]int64),
-		perClient:  make(map[string]*clientReport),
 	}
 	for _, ws := range stats {
 		merged.requests += ws.requests
@@ -477,26 +388,10 @@ func (cfg *runConfig) run(seed int64) *report {
 		for secs, n := range ws.retryAfter {
 			merged.retryAfter[secs] += n
 		}
-		if ws.client != "" {
-			cr := merged.perClient[ws.client]
-			if cr == nil {
-				cr = &clientReport{}
-				merged.perClient[ws.client] = cr
-			}
-			cr.requests += ws.requests
-			cr.accepted += ws.accepted
-			cr.sheds += ws.sheds
-			cr.latencies = append(cr.latencies, ws.latencies...)
-			cr.observeLatencies = append(cr.observeLatencies, ws.observeLatencies...)
-		}
 	}
 	sort.Slice(merged.latencies, func(i, j int) bool { return merged.latencies[i] < merged.latencies[j] })
 	sort.Slice(merged.listLatencies, func(i, j int) bool { return merged.listLatencies[i] < merged.listLatencies[j] })
 	sort.Slice(merged.observeLatencies, func(i, j int) bool { return merged.observeLatencies[i] < merged.observeLatencies[j] })
-	for _, cr := range merged.perClient {
-		sort.Slice(cr.latencies, func(i, j int) bool { return cr.latencies[i] < cr.latencies[j] })
-		sort.Slice(cr.observeLatencies, func(i, j int) bool { return cr.observeLatencies[i] < cr.observeLatencies[j] })
-	}
 	return merged
 }
 
@@ -505,10 +400,7 @@ func (cfg *runConfig) run(seed int64) *report {
 func (cfg *runConfig) worker(client, observeClient *http.Client, ws *workerStats, deadline time.Time, seed int64) {
 	r := rand.New(rand.NewSource(seed))
 	submits := 0
-	// The greedy client floods: it never follows its operations, so
-	// its submission rate is bounded by the daemon, not by observe
-	// round trips. Victims observe and measure to-terminal latency.
-	observing := cfg.observe != "" && ws.client != greedyClient
+	observing := cfg.observe != ""
 	for time.Now().Before(deadline) {
 		body, err := cfg.buildBody(r)
 		if err != nil {
@@ -524,9 +416,6 @@ func (cfg *runConfig) worker(client, observeClient *http.Client, ws *workerStats
 			return
 		}
 		req.Header.Set("Content-Type", "application/json")
-		if ws.client != "" {
-			req.Header.Set("X-Client-Id", ws.client)
-		}
 		begin := time.Now()
 		resp, err := client.Do(req)
 		took := time.Since(begin)
@@ -802,24 +691,6 @@ func (rep *report) format(cfg *runConfig) string {
 		fmt.Fprintf(&b, "sheds:      %d (429, %.3f shed/req), retry-after: %s\n",
 			rep.sheds, perOp, formatRetryHistogram(rep.retryAfter))
 	}
-	if len(rep.perClient) > 0 {
-		fmt.Fprintf(&b, "per-client:\n")
-		for _, key := range sortedClientKeys(rep.perClient) {
-			cr := rep.perClient[key]
-			fmt.Fprintf(&b, "  %-8s ops=%d sheds=%d submit p50=%s p90=%s p99=%s",
-				key, cr.accepted, cr.sheds,
-				percentile(cr.latencies, 50).Round(time.Microsecond),
-				percentile(cr.latencies, 90).Round(time.Microsecond),
-				percentile(cr.latencies, 99).Round(time.Microsecond))
-			if len(cr.observeLatencies) > 0 {
-				fmt.Fprintf(&b, " to-terminal p50=%s p90=%s p99=%s",
-					percentile(cr.observeLatencies, 50).Round(time.Microsecond),
-					percentile(cr.observeLatencies, 90).Round(time.Microsecond),
-					percentile(cr.observeLatencies, 99).Round(time.Microsecond))
-			}
-			b.WriteByte('\n')
-		}
-	}
 	if rep.cancelRequested > 0 || cfg.cancelFrac > 0 {
 		fmt.Fprintf(&b, "cancels:    %d requested, %d cancelled (202), %d conflict (409)\n",
 			rep.cancelRequested, rep.cancelled, rep.cancelConflicts)
@@ -851,23 +722,6 @@ func (rep *report) format(cfg *runConfig) string {
 	return b.String()
 }
 
-// sortedClientKeys orders the per-client breakdown: greedy first (it
-// is the aggressor the rest are measured against), then the victims in
-// name order.
-func sortedClientKeys(m map[string]*clientReport) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if (keys[i] == greedyClient) != (keys[j] == greedyClient) {
-			return keys[i] == greedyClient
-		}
-		return keys[i] < keys[j]
-	})
-	return keys
-}
-
 // formatRetryHistogram renders the Retry-After histogram as
 // "1s×42 2s×3"; the -1 bin (missing or unparsable header) renders as
 // "none×N" so a daemon that sheds without a hint is visible.
@@ -889,169 +743,4 @@ func formatRetryHistogram(h map[int]int64) string {
 		parts = append(parts, fmt.Sprintf("%s×%d", label, h[s]))
 	}
 	return strings.Join(parts, " ")
-}
-
-// jsonPercentiles is the latency block of the JSON report, in
-// milliseconds for cross-run arithmetic without duration parsing.
-type jsonPercentiles struct {
-	P50Ms float64 `json:"p50_ms"`
-	P90Ms float64 `json:"p90_ms"`
-	P99Ms float64 `json:"p99_ms"`
-	MaxMs float64 `json:"max_ms"`
-}
-
-func toJSONPercentiles(sorted []time.Duration) jsonPercentiles {
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	var max time.Duration
-	if len(sorted) > 0 {
-		max = sorted[len(sorted)-1]
-	}
-	return jsonPercentiles{
-		P50Ms: ms(percentile(sorted, 50)),
-		P90Ms: ms(percentile(sorted, 90)),
-		P99Ms: ms(percentile(sorted, 99)),
-		MaxMs: ms(max),
-	}
-}
-
-// jsonReport is the machine-readable run record written by -json; one
-// of these per run is what a BENCH_*.json trajectory entry holds. The
-// schema field versions the shape so future fields can be added
-// without breaking consumers; see docs/loadgen.md.
-type jsonReport struct {
-	Schema string `json:"schema"`
-	Config struct {
-		URL             string  `json:"url"`
-		Concurrency     int     `json:"concurrency"`
-		DurationSeconds float64 `json:"duration_seconds"`
-		Batch           int     `json:"batch"`
-		Kinds           string  `json:"kinds"`
-		CancelFrac      float64 `json:"cancel_frac"`
-		ListEvery       int     `json:"list_every"`
-		Observe         string  `json:"observe,omitempty"`
-		PollIntervalMs  float64 `json:"poll_interval_ms,omitempty"`
-		ObserveTimeoutS float64 `json:"observe_timeout_seconds,omitempty"`
-		Clients         int     `json:"clients,omitempty"`
-		GreedyFrac      float64 `json:"greedy_frac,omitempty"`
-	} `json:"config"`
-	ElapsedSeconds      float64          `json:"elapsed_seconds"`
-	Requests            int64            `json:"requests"`
-	RequestsPerSecond   float64          `json:"requests_per_second"`
-	OperationsAccepted  int64            `json:"operations_accepted"`
-	OperationsPerSecond float64          `json:"operations_per_second"`
-	SubmitLatency       jsonPercentiles  `json:"submit_latency"`
-	ListRequests        int64            `json:"list_requests,omitempty"`
-	ListLatency         *jsonPercentiles `json:"list_latency,omitempty"`
-	ListErrors          int64            `json:"list_errors,omitempty"`
-	HTTPCodes           map[string]int64 `json:"http_codes"`
-	CancelsRequested    int64            `json:"cancels_requested,omitempty"`
-	Cancelled           int64            `json:"cancelled,omitempty"`
-	CancelConflicts     int64            `json:"cancel_conflicts,omitempty"`
-	CancelErrors        int64            `json:"cancel_errors,omitempty"`
-	OpsObserved         int64            `json:"ops_observed,omitempty"`
-	ObserveGets         int64            `json:"observe_gets,omitempty"`
-	GetsPerOp           float64          `json:"gets_per_op,omitempty"`
-	TimeToTerminal      *jsonPercentiles `json:"time_to_terminal,omitempty"`
-	ObserveErrors       int64            `json:"observe_errors,omitempty"`
-	Sheds               int64            `json:"sheds,omitempty"`
-	RetryAfterHistogram map[string]int64 `json:"retry_after_histogram,omitempty"`
-	PerClient           []jsonClient     `json:"per_client,omitempty"`
-	TransportErrors     int64            `json:"transport_errors"`
-}
-
-// jsonClient is one client's row of the fairness breakdown; the
-// "retry_after_histogram" key mirrors formatRetryHistogram's "none"
-// bin as the string "none".
-type jsonClient struct {
-	Client         string           `json:"client"`
-	Requests       int64            `json:"requests"`
-	Accepted       int64            `json:"accepted"`
-	Sheds          int64            `json:"sheds,omitempty"`
-	SubmitLatency  jsonPercentiles  `json:"submit_latency"`
-	TimeToTerminal *jsonPercentiles `json:"time_to_terminal,omitempty"`
-}
-
-// writeJSON renders the run as indented JSON at path.
-func (rep *report) writeJSON(path string, cfg *runConfig) error {
-	var jr jsonReport
-	jr.Schema = "opdaemon-loadgen/1"
-	jr.Config.URL = cfg.url
-	jr.Config.Concurrency = cfg.concurrency
-	jr.Config.DurationSeconds = cfg.duration.Seconds()
-	jr.Config.Batch = cfg.batch
-	jr.Config.Kinds = cfg.mix.String()
-	jr.Config.CancelFrac = cfg.cancelFrac
-	jr.Config.ListEvery = cfg.listEvery
-	if cfg.observe != "" {
-		jr.Config.Observe = cfg.observe
-		if cfg.observe == "poll" {
-			jr.Config.PollIntervalMs = float64(cfg.pollInterval) / float64(time.Millisecond)
-		}
-		jr.Config.ObserveTimeoutS = cfg.observeTimeout.Seconds()
-	}
-	jr.Config.Clients = cfg.clients
-	jr.Config.GreedyFrac = cfg.greedyFrac
-	secs := rep.elapsed.Seconds()
-	jr.ElapsedSeconds = secs
-	jr.Requests = rep.requests
-	jr.RequestsPerSecond = float64(rep.requests) / secs
-	jr.OperationsAccepted = rep.accepted
-	jr.OperationsPerSecond = float64(rep.accepted) / secs
-	jr.SubmitLatency = toJSONPercentiles(rep.latencies)
-	if rep.listRequests > 0 {
-		jr.ListRequests = rep.listRequests
-		lp := toJSONPercentiles(rep.listLatencies)
-		jr.ListLatency = &lp
-		jr.ListErrors = rep.listErrs
-	}
-	jr.HTTPCodes = make(map[string]int64, len(rep.codes))
-	for code, n := range rep.codes {
-		jr.HTTPCodes[strconv.Itoa(code)] = n
-	}
-	jr.CancelsRequested = rep.cancelRequested
-	jr.Cancelled = rep.cancelled
-	jr.CancelConflicts = rep.cancelConflicts
-	jr.CancelErrors = rep.cancelErrs
-	if cfg.observe != "" {
-		jr.OpsObserved = rep.observed
-		jr.ObserveGets = rep.observeGets
-		if rep.observed > 0 {
-			jr.GetsPerOp = float64(rep.observeGets) / float64(rep.observed)
-		}
-		op := toJSONPercentiles(rep.observeLatencies)
-		jr.TimeToTerminal = &op
-		jr.ObserveErrors = rep.observeErrs
-	}
-	if rep.sheds > 0 {
-		jr.Sheds = rep.sheds
-		jr.RetryAfterHistogram = make(map[string]int64, len(rep.retryAfter))
-		for secs, n := range rep.retryAfter {
-			key := strconv.Itoa(secs)
-			if secs < 0 {
-				key = "none"
-			}
-			jr.RetryAfterHistogram[key] = n
-		}
-	}
-	for _, key := range sortedClientKeys(rep.perClient) {
-		cr := rep.perClient[key]
-		jc := jsonClient{
-			Client:        key,
-			Requests:      cr.requests,
-			Accepted:      cr.accepted,
-			Sheds:         cr.sheds,
-			SubmitLatency: toJSONPercentiles(cr.latencies),
-		}
-		if len(cr.observeLatencies) > 0 {
-			tt := toJSONPercentiles(cr.observeLatencies)
-			jc.TimeToTerminal = &tt
-		}
-		jr.PerClient = append(jr.PerClient, jc)
-	}
-	jr.TransportErrors = rep.transportErrs
-	out, err := json.MarshalIndent(&jr, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -171,15 +170,6 @@ func TestNewRunConfigValidation(t *testing.T) {
 		"zero poll interval":     func(f *runFlags) { f.observe = "poll"; f.pollInterval = 0 },
 		"zero observe timeout":   func(f *runFlags) { f.observe = "watch"; f.observeTimeout = 0 },
 		"uppercase observe mode": func(f *runFlags) { f.observe = "Watch" },
-		"negative clients":       func(f *runFlags) { f.clients = -1 },
-		"greedy frac over one":   func(f *runFlags) { f.clients = 4; f.greedyFrac = 1.5 },
-		"greedy without clients": func(f *runFlags) { f.greedyFrac = 0.5 },
-		"greedy one client":      func(f *runFlags) { f.clients = 1; f.greedyFrac = 0.5 },
-		"greedy eats all workers": func(f *runFlags) {
-			f.concurrency = 2
-			f.clients = 2
-			f.greedyFrac = 1.0
-		},
 	} {
 		f := valid
 		mutate(&f)
@@ -189,45 +179,6 @@ func TestNewRunConfigValidation(t *testing.T) {
 	}
 	if _, err := newRunConfig(valid); err != nil {
 		t.Fatalf("baseline flags rejected: %v", err)
-	}
-}
-
-// TestClientFor pins the worker→client assignment: greedy workers
-// first, victims spread round-robin over the remaining IDs.
-func TestClientFor(t *testing.T) {
-	cfg, err := newRunConfig(runFlags{
-		addr: "x", concurrency: 8, duration: time.Second, batch: 1,
-		kinds: "noop=1", timeout: time.Second,
-		pollInterval: time.Millisecond, observeTimeout: time.Second,
-		clients: 3, greedyFrac: 0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.greedyWorkers != 4 {
-		t.Fatalf("greedyWorkers = %d, want 4 (half of 8)", cfg.greedyWorkers)
-	}
-	got := make([]string, 8)
-	for i := range got {
-		got[i] = cfg.clientFor(i)
-	}
-	want := []string{"greedy", "greedy", "greedy", "greedy", "c1", "c2", "c1", "c2"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("clientFor(%d) = %q, want %q (full: %v)", i, got[i], want[i], got)
-		}
-	}
-
-	noClients, err := newRunConfig(runFlags{
-		addr: "x", concurrency: 2, duration: time.Second, batch: 1,
-		kinds: "noop=1", timeout: time.Second,
-		pollInterval: time.Millisecond, observeTimeout: time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id := noClients.clientFor(0); id != "" {
-		t.Errorf("clientFor with -clients 0 = %q, want empty", id)
 	}
 }
 
@@ -430,155 +381,6 @@ func TestRunCountsSheds(t *testing.T) {
 	out := rep.format(cfg)
 	if !strings.Contains(out, "sheds:") || !strings.Contains(out, "2s×") {
 		t.Errorf("report missing shed line or retry histogram:\n%s", out)
-	}
-}
-
-// TestRunWithClients drives a stub daemon with an adversarial mix and
-// checks (a) every request carries the expected X-Client-Id, (b) the
-// greedy client submits but never observes, and (c) the per-client
-// breakdown reaches both the text and JSON reports.
-func TestRunWithClients(t *testing.T) {
-	var mu sync.Mutex
-	postClients := map[string]int{}
-	getCount := 0
-	submissions := 0
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodGet {
-			mu.Lock()
-			getCount++
-			mu.Unlock()
-			w.Write([]byte(`{"type":"sync","status_code":200,"result":{"id":"x","status":"done"}}`))
-			return
-		}
-		mu.Lock()
-		postClients[r.Header.Get("X-Client-Id")]++
-		submissions++
-		id := strconv.Itoa(submissions)
-		mu.Unlock()
-		w.WriteHeader(http.StatusAccepted)
-		w.Write([]byte(`{"type":"async","status_code":202,"result":{"id":"` + id + `","status":"queued"}}`))
-	}))
-	defer srv.Close()
-
-	addr := strings.TrimPrefix(srv.URL, "http://")
-	cfg, err := newRunConfig(runFlags{
-		addr: addr, concurrency: 4, duration: 50 * time.Millisecond, batch: 1,
-		kinds: "noop=1", timeout: time.Second,
-		observe: "poll", pollInterval: time.Millisecond, observeTimeout: 5 * time.Second,
-		clients: 3, greedyFrac: 0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := cfg.run(1)
-	if rep.requests == 0 {
-		t.Fatal("run made no requests")
-	}
-	mu.Lock()
-	if postClients[""] > 0 {
-		t.Errorf("%d submissions carried no X-Client-Id", postClients[""])
-	}
-	for _, want := range []string{"greedy", "c1", "c2"} {
-		if postClients[want] == 0 {
-			t.Errorf("no submissions from client %q (saw %v)", want, postClients)
-		}
-	}
-	gets := getCount
-	mu.Unlock()
-	if gets == 0 {
-		t.Fatal("victim workers observed nothing")
-	}
-	greedy := rep.perClient["greedy"]
-	if greedy == nil {
-		t.Fatal("report has no greedy client entry")
-	}
-	if len(greedy.observeLatencies) != 0 {
-		t.Errorf("greedy client recorded %d observe latencies, want 0 (fire-and-forget)", len(greedy.observeLatencies))
-	}
-	if v := rep.perClient["c1"]; v == nil || len(v.observeLatencies) == 0 {
-		t.Errorf("victim c1 recorded no to-terminal samples: %+v", v)
-	}
-	out := rep.format(cfg)
-	if !strings.Contains(out, "per-client:") || !strings.Contains(out, "greedy") {
-		t.Errorf("report missing per-client block:\n%s", out)
-	}
-
-	path := t.TempDir() + "/run.json"
-	if err := rep.writeJSON(path, cfg); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got struct {
-		PerClient []jsonClient `json:"per_client"`
-	}
-	if err := json.Unmarshal(raw, &got); err != nil {
-		t.Fatal(err)
-	}
-	if len(got.PerClient) != 3 {
-		t.Fatalf("json per_client has %d rows, want 3: %s", len(got.PerClient), raw)
-	}
-	if got.PerClient[0].Client != "greedy" {
-		t.Errorf("json per_client[0] = %q, want greedy first", got.PerClient[0].Client)
-	}
-	for _, jc := range got.PerClient {
-		if jc.Client != "greedy" && jc.TimeToTerminal == nil {
-			t.Errorf("victim %q missing time_to_terminal in JSON", jc.Client)
-		}
-	}
-}
-
-// TestWriteJSON checks the -json report round-trips with the schema
-// docs/loadgen.md documents.
-func TestWriteJSON(t *testing.T) {
-	rep := &report{
-		elapsed:       2 * time.Second,
-		requests:      100,
-		accepted:      400,
-		latencies:     []time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond},
-		listRequests:  10,
-		listLatencies: []time.Duration{5 * time.Millisecond},
-		codes:         map[int]int64{202: 100},
-	}
-	mix, _ := parseKindMix("noop=1")
-	cfg := &runConfig{
-		url:         "http://x/v1/operations",
-		concurrency: 4,
-		duration:    2 * time.Second,
-		batch:       4,
-		mix:         mix,
-		listEvery:   5,
-	}
-	path := t.TempDir() + "/run.json"
-	if err := rep.writeJSON(path, cfg); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got map[string]any
-	if err := json.Unmarshal(raw, &got); err != nil {
-		t.Fatalf("report is not valid JSON: %v\n%s", err, raw)
-	}
-	if got["schema"] != "opdaemon-loadgen/1" {
-		t.Errorf("schema = %v, want opdaemon-loadgen/1", got["schema"])
-	}
-	if ops, _ := got["operations_per_second"].(float64); ops != 200 {
-		t.Errorf("operations_per_second = %v, want 200", got["operations_per_second"])
-	}
-	lat, _ := got["submit_latency"].(map[string]any)
-	if p50, _ := lat["p50_ms"].(float64); p50 != 2 {
-		t.Errorf("submit_latency.p50_ms = %v, want 2", lat["p50_ms"])
-	}
-	if _, ok := got["list_latency"].(map[string]any); !ok {
-		t.Errorf("list_latency missing from report with list traffic: %s", raw)
-	}
-	codes, _ := got["http_codes"].(map[string]any)
-	if n, _ := codes["202"].(float64); n != 100 {
-		t.Errorf("http_codes[202] = %v, want 100", codes["202"])
 	}
 }
 

@@ -221,6 +221,38 @@ func BenchmarkAPISubmitBatch10(b *testing.B) {
 	}
 }
 
+// BenchmarkAPICancel measures cancellation end to end. Each iteration
+// submits one operation whose handler blocks until it is cancelled,
+// then sends DELETE /v1/operations/{id}; the op is cancelled either
+// still queued or running, as the workers happen to pick it up.
+// ns/op and allocs/op cover both requests and the workers' side of the
+// cancellation.
+func BenchmarkAPICancel(b *testing.B) {
+	for _, bs := range benchStores() {
+		b.Run(bs.name, func(b *testing.B) {
+			s, e := newBenchServer(b, bs.mk())
+			e.Register("block", func(ctx context.Context, _ *core.Operation) (any, error) {
+				<-ctx.Done()
+				return nil, ctx.Err()
+			})
+			submit := newBenchRequest(s, "POST", "/v1/operations", `{"kind":"block"}`)
+			cancel := newBenchRequest(s, "DELETE", "/v1/operations/x", "")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w := submit.serve()
+				if w.Code != http.StatusAccepted {
+					b.Fatalf("submit returned %d: %s", w.Code, w.Body.String())
+				}
+				cancel.r.URL.Path = "/v1/operations/" + benchOpID(b, w.Body.Bytes())
+				if w := cancel.serve(); w.Code != http.StatusAccepted {
+					b.Fatalf("cancel returned %d: %s", w.Code, w.Body.String())
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkAPIGet measures the poll hot path — the request snapd-style
 // clients issue in a tight loop — against a 10k-operation store.
 func BenchmarkAPIGet(b *testing.B) {

@@ -4,9 +4,9 @@ package api
 // `make bench-e2e`: one greedy client keeps the queue buried while a
 // victim client submits through the full API path and waits for its
 // operation to finish. The reported victim-p99-ms metric is the
-// fairness headline BENCH_8.json tracks — under the old FIFO dispatch
-// the victim waited behind the whole greedy backlog; under per-client
-// DRR its tail is bounded by the round-robin share.
+// fairness headline — under the old FIFO dispatch the victim waited
+// behind the whole greedy backlog; under per-client DRR its tail is
+// bounded by the round-robin share.
 
 import (
 	"context"

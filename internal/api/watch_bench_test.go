@@ -6,11 +6,10 @@ package api
 // BenchmarkAPIWatchSubmitToTerminal is the cost of learning the
 // outcome with long-polls instead of a poll loop — the per-request
 // cost is higher (a blocked handler, a wake), but it replaces the
-// entire poll loop, which is the trade BENCH_7.json quantifies at the
-// daemon level.
+// entire poll loop.
 
 import (
-	"encoding/json"
+	"bytes"
 	"net/http"
 	"testing"
 	"time"
@@ -18,37 +17,54 @@ import (
 	"opdaemon/internal/core"
 )
 
+// Byte-search keys for benchOpField: the reply's result object, then a
+// string field inside it. The operation encodes id and status ahead of
+// params and result, so the first match inside the result object is
+// the operation's own field.
+var (
+	benchResultKey = []byte(`"result":{`)
+	benchIDKey     = []byte(`"id":"`)
+	benchStatusKey = []byte(`"status":"`)
+)
+
+// benchOpField returns the raw value of the string field named by key
+// in a reply's result object. It searches bytes instead of decoding
+// the envelope, so a benchmark loop's allocations are the daemon's,
+// not a JSON decoder's.
+func benchOpField(b *testing.B, body, key []byte) []byte {
+	b.Helper()
+	_, result, ok := bytes.Cut(body, benchResultKey)
+	if ok {
+		_, result, ok = bytes.Cut(result, key)
+	}
+	var val []byte
+	if ok {
+		val, _, ok = bytes.Cut(result, []byte{'"'})
+	}
+	if !ok || len(val) == 0 {
+		b.Fatalf("reply %q has no result field %s", body, key)
+	}
+	return val
+}
+
 // benchOpID pulls the operation ID out of a submit response.
 func benchOpID(b *testing.B, body []byte) string {
 	b.Helper()
-	var resp Response
-	if err := json.Unmarshal(body, &resp); err != nil {
-		b.Fatalf("decoding submit response %q: %v", body, err)
-	}
-	op, ok := resp.Result.(map[string]any)
-	if !ok {
-		b.Fatalf("submit result = %T, want object", resp.Result)
-	}
-	id, _ := op["id"].(string)
-	if id == "" {
-		b.Fatal("submit result has no id")
-	}
-	return id
+	return string(benchOpField(b, body, benchIDKey))
 }
 
-// benchOpStatus pulls the status out of a get response.
+// benchOpStatus pulls the status out of a get response, mapping it to
+// the core constant so the loop does not allocate a string per reply.
 func benchOpStatus(b *testing.B, body []byte) core.Status {
 	b.Helper()
-	var resp Response
-	if err := json.Unmarshal(body, &resp); err != nil {
-		b.Fatalf("decoding get response %q: %v", body, err)
+	val := benchOpField(b, body, benchStatusKey)
+	for _, st := range []core.Status{core.StatusQueued, core.StatusRunning, core.StatusDone, core.StatusFailed, core.StatusCancelled} {
+		if string(val) == string(st) {
+			return st
+		}
 	}
-	op, ok := resp.Result.(map[string]any)
-	if !ok {
-		b.Fatalf("get result = %T, want object", resp.Result)
-	}
-	st, _ := op["status"].(string)
-	return core.Status(st)
+	b.Fatalf("reply has unknown status %q", val)
+	return ""
 }
 
 // BenchmarkAPIGetWaitTerminal measures ?wait=true against an
@@ -88,16 +104,20 @@ func BenchmarkAPIWatchSubmitToTerminal(b *testing.B) {
 	for _, bs := range benchStores() {
 		b.Run(bs.name, func(b *testing.B) {
 			s, _ := newBenchServer(b, bs.mk())
+			submit := newBenchRequest(s, "POST", "/v1/operations", `{"kind":"noop"}`)
+			wait := newBenchRequest(s, "GET", "/v1/operations/x?wait=true&timeout=5s", "")
+			waits := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				w := serve(s, "POST", "/v1/operations", `{"kind":"noop"}`)
+				w := submit.serve()
 				if w.Code != http.StatusAccepted {
 					b.Fatalf("submit returned %d", w.Code)
 				}
-				id := benchOpID(b, w.Body.Bytes())
+				wait.r.URL.Path = "/v1/operations/" + benchOpID(b, w.Body.Bytes())
 				for {
-					w = serve(s, "GET", "/v1/operations/"+id+"?wait=true&timeout=5s", "")
+					w = wait.serve()
+					waits++
 					if w.Code != http.StatusOK {
 						b.Fatalf("wait get returned %d", w.Code)
 					}
@@ -106,6 +126,8 @@ func BenchmarkAPIWatchSubmitToTerminal(b *testing.B) {
 					}
 				}
 			}
+			b.StopTimer()
+			b.ReportMetric(float64(waits)/float64(b.N), "waits/op")
 		})
 	}
 }

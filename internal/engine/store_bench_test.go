@@ -268,8 +268,7 @@ func BenchmarkStoreWALUpdateParallel(b *testing.B) {
 
 // BenchmarkWALRecovery measures boot-time replay: open a log holding
 // 100k operations, rebuild the index, close. This is the cost a
-// restart pays and the number BENCH_9.json tracks; compaction exists
-// to bound it.
+// restart pays; compaction exists to bound it.
 func BenchmarkWALRecovery(b *testing.B) {
 	const n = 100_000
 	dir := b.TempDir()

@@ -332,6 +332,54 @@ func runStoreConformance(t *testing.T, mk func(t testing.TB) Store) {
 		}
 	})
 
+	t.Run("ListSparseFilterAcrossChunks", func(t *testing.T) {
+		// One op in 97 failed, spread over every shard, so a small page
+		// walks long non-matching runs and several doubling chunk
+		// refills per shard. Each page must equal sharded-1's.
+		const n, limit = 3000, 7
+		ops := func() []*core.Operation {
+			ops := make([]*core.Operation, n)
+			for i := range ops {
+				ops[i] = mkOp(fmt.Sprintf("op-%04d", i), t0.Add(time.Duration(i)*time.Millisecond))
+				if i%97 == 0 {
+					ops[i].Status = core.StatusFailed
+				}
+			}
+			return ops
+		}
+		s, ref := mk(t), NewShardedStore(1)
+		s.PutBatch(ops())
+		ref.PutBatch(ops())
+
+		all, err := s.List(ListQuery{Status: core.StatusFailed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for i := (n - 1) / 97 * 97; i >= 0; i -= 97 {
+			want = append(want, fmt.Sprintf("op-%04d", i))
+		}
+		if fmt.Sprint(listIDs(all)) != fmt.Sprint(want) {
+			t.Fatalf("List(status=failed) = %v, want %v", listIDs(all), want)
+		}
+		cursor := ""
+		for pages := 0; ; pages++ {
+			q := ListQuery{Status: core.StatusFailed, Cursor: cursor, Limit: limit}
+			page, err := s.List(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refPage, _ := ref.List(q)
+			if fmt.Sprint(listIDs(page)) != fmt.Sprint(listIDs(refPage)) {
+				t.Fatalf("page %d (cursor %q) = %v, want %v", pages, cursor, listIDs(page), listIDs(refPage))
+			}
+			if len(page) < limit {
+				break
+			}
+			cursor = page[len(page)-1].ID
+		}
+	})
+
 	t.Run("CursorUnknownYieldsEmptyPage", func(t *testing.T) {
 		s := mk(t)
 		s.Put(mkOp("a", t0))

@@ -218,8 +218,9 @@ func (c *listCursor) refill() {
 // need the shard locks. The page is built of shared immutable
 // pointers, so it stays valid after any locks are released.
 //
-// Cost: O(len(cursors)) to seed the heap plus O(scanned · log shards)
-// to emit, where scanned == limit when no status filter is set.
+// Cost: O(len(cursors)) to seed the heap, O(scanned) to step cursors
+// past entries a status filter rejects, and O(limit · log shards) of
+// heap work to emit (plus one sift per chunk refill).
 type listMerge struct {
 	h   []listCursor
 	q   ListQuery
@@ -281,6 +282,17 @@ func (m *listMerge) run() *listCursor {
 			}
 		}
 		top.pos--
+		// Step past the entries the filter would reject before the
+		// cursor re-enters the heap, so heap work is O(emitted · log
+		// shards), not O(scanned · log shards). The walk stops at the
+		// chunk's oldest entry: that one re-enters the heap by its own
+		// key, so the chunk is refilled only when the merge reaches it,
+		// never for a page that is already complete.
+		if m.q.Status != "" {
+			for top.pos > 0 && top.current().Status != m.q.Status {
+				top.pos--
+			}
+		}
 	}
 	return nil
 }
